@@ -108,8 +108,8 @@ void ServingEngine::audit_in_flight_footprints() const {
     if (!meta.wfp.empty()) occupied.push_back(meta.wfp);
   // Cross-check the occupancy notion against the free-slot list before the
   // disjointness pass: every slot is either free or holds a footprint.
-  TGNN_CHECK(occupied.size() + free_lanes_.size() == slot_meta_.size(),
-             "hazard audit: occupied slots + free slots != pipeline depth");
+  TGNN_CHECK(occupied.size() + free_slots_.size() == slot_meta_.size(),
+             "hazard audit: occupied slots + free slots != slot count");
   audit_disjoint_footprints(occupied);
 }
 
@@ -123,8 +123,8 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
       base_max_wait_s_(opts.max_wait_s),
       hw_threads_(std::max<std::size_t>(
           1, std::thread::hardware_concurrency())),
-      pool_(1 + (workers_ > 1 ? workers_ : 0) +
-            (opts.pipelined ? core::kNumStages : 0)) {
+      pool_(1 + (opts.pipelined ? core::kNumStages
+                                : (workers_ > 1 ? workers_ : 0))) {
   if (opts_.max_batch == 0)
     throw std::invalid_argument("ServingEngine: max_batch must be > 0");
   if (opts_.queue_capacity == 0)
@@ -156,19 +156,7 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
           "ServingEngine: retune_margin must be >= 1 (a flip needs a "
           "predicted gain, not a predicted tie)");
   }
-  {
-    // Degradation ladder, anchored at the backend's base numeric mode.
-    // One rung means "never degrade" — either the option is off or the
-    // backend already serves int8.
-    util::MutexLock lk(mu_);
-    ladder_.push_back(backend_.precision());
-    if (opts_.degrade_under_overload) {
-      if (ladder_.front() == kernels::Precision::kFp32)
-        ladder_.push_back(kernels::Precision::kBf16);
-      if (ladder_.front() != kernels::Precision::kInt8)
-        ladder_.push_back(kernels::Precision::kInt8);
-    }
-  }
+  std::size_t slots = workers_;
   if (opts_.pipelined) {
     if (staged_ == nullptr)
       throw std::invalid_argument(
@@ -187,23 +175,36 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
     // the requested policy (which also makes execution deterministic).
     track_reads_ = opts_.deterministic || !staged_->race_free_reads();
     staged_->prepare_pipeline(opts_.pipeline_depth, opts_.max_batch);
-
-    // Conflict ledger + slot pool + inter-stage FIFOs (capacity 1: classic
-    // pipeline registers — a stage stalls until its successor drains). The
-    // workers don't exist yet, but initializing the guarded ledger under
-    // the lock keeps every write inside the capability.
-    const auto& g = backend_.dataset().graph;
-    {
-      util::MutexLock lk(mu_);
-      write_marks_.assign(g.num_nodes(), 0);
-      full_marks_.assign(g.num_nodes(), 0);
-      for (std::size_t s = opts_.pipeline_depth; s-- > 0;)
-        free_lanes_.push_back(s);
-      slot_meta_.assign(opts_.pipeline_depth, SlotMeta{});
+    slots = opts_.pipeline_depth;
+  } else {
+    track_reads_ = opts_.deterministic && workers_ > 1;
+  }
+  {
+    // The executor threads don't exist yet, but initializing the guarded
+    // state under the lock keeps every write inside the capability.
+    util::MutexLock lk(mu_);
+    // Degradation ladder, anchored at the backend's base numeric mode.
+    // One rung means "never degrade" — either the option is off or the
+    // backend already serves int8.
+    ladder_.push_back(backend_.precision());
+    if (opts_.degrade_under_overload) {
+      if (ladder_.front() == kernels::Precision::kFp32)
+        ladder_.push_back(kernels::Precision::kBf16);
+      if (ladder_.front() != kernels::Precision::kInt8)
+        ladder_.push_back(kernels::Precision::kInt8);
     }
+    const auto num_nodes = backend_.dataset().graph.num_nodes();
+    write_marks_.assign(num_nodes, 0);
+    full_marks_.assign(num_nodes, 0);
+    for (std::size_t s = slots; s-- > 0;) free_slots_.push_back(s);
+    slot_meta_.assign(slots, SlotMeta{});
+  }
+  if (staged_ != nullptr) {
+    // Inter-stage FIFOs, capacity 1: classic pipeline registers — a stage
+    // stalls until its successor drains.
     stage_q_.reserve(core::kNumStages);
     for (std::size_t k = 0; k < core::kNumStages; ++k)
-      stage_q_.push_back(std::make_unique<StageChannel<std::size_t>>(1));
+      stage_q_.push_back(std::make_unique<StageChannel<StageToken>>(1));
     for (std::size_t k = 0; k < core::kNumStages; ++k)
       pool_.submit([this, k] { stage_worker(k); });
   }
@@ -336,8 +337,7 @@ void ServingEngine::expire_stale_locked() {
   if (dropped) cv_state_.notify_all();
 }
 
-bool ServingEngine::next_batch(util::MutexLock& lk, graph::BatchRange& range,
-                               std::vector<double>& arrivals) {
+bool ServingEngine::next_batch(util::MutexLock& lk, SlotMeta& batch) {
   for (;;) {
     while (!stop_ && queue_.empty()) cv_submit_.wait(lk);
     if (queue_.empty()) return false;  // only reachable when stopping
@@ -378,11 +378,11 @@ bool ServingEngine::next_batch(util::MutexLock& lk, graph::BatchRange& range,
     if (expired_front) continue;  // sweep the expired prefix, then re-form
 
     const std::size_t n = contiguous_run_locked();
-    range = {queue_.front().index, queue_.front().index + n};
-    arrivals.clear();
-    arrivals.reserve(n);
+    batch.range = {queue_.front().index, queue_.front().index + n};
+    batch.arrivals.clear();
+    batch.arrivals.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      arrivals.push_back(queue_.front().arrival_s);
+      batch.arrivals.push_back(queue_.front().arrival_s);
       queue_.pop_front();
     }
     if (queue_.empty()) flush_ = false;  // forced flush fully served
@@ -418,12 +418,12 @@ bool ServingEngine::maybe_degrade() {
   if (target == degrade_level_) return false;
   // Precision flips require backend quiescence. The only point this
   // scheduler can guarantee it is right after batch formation when the
-  // formed batch is the sole in-flight work and nothing is dispatched —
-  // always true in serial mode, opportunistic (empty pipeline / idle
+  // formed batch is the sole in-flight work (so nothing is executing) —
+  // always true with one slot, opportunistic (empty pipeline / idle
   // lanes) otherwise. The flip happens under mu_: set_precision only
   // rebuilds the model's precision caches, takes no engine lock, and
   // holding mu_ keeps stats()'s precision read race-free.
-  if (in_flight_ != 1 || executing_ != 0) return false;
+  if (in_flight_ != 1) return false;
   pressure_run_ = 0;
   clear_run_ = 0;
   if (!backend_.set_precision(ladder_[target])) {
@@ -450,7 +450,7 @@ void ServingEngine::maybe_retune(bool degrade_flipped) {
   // batch — in any scheduler mode — still forms and executes in stream
   // order against quiescent state, which is what keeps deterministic-mode
   // results bit-identical to a serial replay of batch_log().
-  if (in_flight_ != 1 || executing_ != 0) return;
+  if (in_flight_ != 1) return;
   const perf::StageProfile prof = profiler_.snapshot();
   // Need at least half a window of fresh evidence, and a backend that
   // reports stage times at all (modelled platforms may not).
@@ -503,42 +503,6 @@ void ServingEngine::maybe_retune(bool degrade_flipped) {
       {batches_.size(), TuningEvent::Kind::kMaxBatch, best_batch});
 }
 
-void ServingEngine::record_stage_sample(
-    const std::array<double, core::kNumStages>& stage_s,
-    const graph::BatchRange& range, std::size_t unique_vertices) {
-  profiler_.record(stage_s, range.size(), unique_vertices, queue_.size());
-  for (std::size_t k = 0; k < core::kNumStages; ++k)
-    stage_samples_[k].push_back(stage_s[k]);
-}
-
-void ServingEngine::record_batch(const graph::BatchRange& range,
-                                 const std::vector<double>& arrivals,
-                                 double dispatch_s, double service_s) {
-  const double done = clock_.seconds();
-  for (double a : arrivals) {
-    const double wait = dispatch_s - a;
-    latencies_.push_back(wait + service_s);
-    queue_waits_.push_back(wait);
-    services_.push_back(service_s);
-  }
-  for (std::size_t i = range.begin; i < range.end; ++i)
-    outcomes_.push_back({i, RequestOutcome::kServed});
-  last_done_s_ = std::max(last_done_s_, done);
-  TGNN_DCHECK(in_flight_ > 0, "batch completion with none in flight");
-  --in_flight_;
-  cv_state_.notify_all();
-}
-
-void ServingEngine::fail_batch(const graph::BatchRange& range) {
-  for (std::size_t i = range.begin; i < range.end; ++i)
-    outcomes_.push_back({i, RequestOutcome::kFailed});
-  failed_ += range.size();
-  last_done_s_ = std::max(last_done_s_, clock_.seconds());
-  TGNN_DCHECK(in_flight_ > 0, "batch failure with none in flight");
-  --in_flight_;
-  cv_state_.notify_all();
-}
-
 bool ServingEngine::run_with_retries(const std::function<void()>& op) {
   for (std::size_t attempt = 0;; ++attempt) {
     try {
@@ -569,218 +533,153 @@ bool ServingEngine::run_with_retries(const std::function<void()>& op) {
 }
 
 void ServingEngine::scheduler_loop() {
-  if (staged_ != nullptr) {
-    scheduler_loop_pipelined();
-    return;
-  }
-  if (workers_ > 1) {
-    scheduler_loop_parallel();
-    return;
-  }
-  graph::BatchRange range;
-  std::vector<double> arrivals;
-  util::MutexLock lk(mu_);
-  while (next_batch(lk, range, arrivals)) {
-    batches_.push_back(range);
-    executing_ = 1;
-    peak_executing_ = std::max(peak_executing_, executing_);
-    lk.unlock();
-    const double dispatch_s = clock_.seconds();
-    BatchOutput out;
-    const bool ok = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      out = backend_.process_batch(range);
-    });
-    lk.lock();
-    executing_ = 0;
-    if (ok) {
-      record_stage_sample(stage_array(out.parts), range,
-                          out.functional.nodes.size());
-      record_batch(range, arrivals, dispatch_s, out.latency_s);
-    } else {
-      fail_batch(range);
-    }
-  }
-}
-
-void ServingEngine::scheduler_loop_parallel() {
-  ConcurrentBackend& cb = *concurrent_;
   const auto& g = backend_.dataset().graph;
-
-  graph::BatchRange range;
-  std::vector<double> arrivals;
-  std::vector<graph::NodeId> wfp, rfp;
+  SlotMeta next;  // the batch being formed; acquire swaps it into its slot
   util::MutexLock lk(mu_);
-  write_marks_.assign(g.num_nodes(), 0);
-  full_marks_.assign(g.num_nodes(), 0);
-  free_lanes_.clear();
-  for (std::size_t l = 0; l < workers_; ++l) free_lanes_.push_back(l);
-  while (next_batch(lk, range, arrivals)) {
-    write_footprint(g, range, wfp);
+  for (;;) {
+    // Slot first, then formation: with one slot the previous batch has
+    // retired before the next one forms, so every serial formation is a
+    // quiescent point for maybe_degrade / maybe_retune.
+    while (free_slots_.empty()) cv_state_.wait(lk);
+    if (!next_batch(lk, next)) break;
 
-    // Head-of-line admission, stage 1: a free lane, and our writes touch
-    // nothing any in-flight batch reads or writes. In-flight work only
-    // shrinks while we wait (this thread is the only dispatcher), so the
-    // predicate is stable once satisfied.
-    while (free_lanes_.empty() || !disjoint(wfp, full_marks_))
-      cv_state_.wait(lk);
-
-    // Stage 2 (deterministic mode): the READ footprint — sampled neighbors
-    // of our endpoints. Stage 1 guarantees no in-flight batch writes our
+    // Head-of-line hazard wait, stage 1: our writes touch nothing any
+    // in-flight batch reads or writes. In-flight work only shrinks while we
+    // wait (this thread is the only admitter), so the predicate is stable
+    // once satisfied.
+    write_footprint(g, next.range, next.wfp);
+    while (!disjoint(next.wfp, full_marks_)) cv_state_.wait(lk);
+    // Stage 2 (read tracking): the READ footprint — sampled neighbors of
+    // our endpoints. Stage 1 guarantees no in-flight batch writes our
     // endpoints, so their neighbor rows are quiescent and reading them
-    // off-lock is safe. Dispatch once no in-flight batch writes anything
-    // we will read; the result is bit-identical to serial execution.
-    if (opts_.deterministic) {
-      lk.unlock();
-      cb.read_footprint(range, rfp);
-      lk.lock();
-      while (!disjoint(rfp, write_marks_)) cv_state_.wait(lk);
-    } else {
-      rfp.clear();
-    }
-
-    const std::size_t lane = free_lanes_.back();
-    free_lanes_.pop_back();
-    for (graph::NodeId v : wfp) {
-      ++write_marks_[v];
-      ++full_marks_[v];
-    }
-    for (graph::NodeId v : rfp) ++full_marks_[v];
-    batches_.push_back(range);
-    ++executing_;
-    peak_executing_ = std::max(peak_executing_, executing_);
-    const double dispatch_s = clock_.seconds();
-
-    lk.unlock();
-    pool_.submit([this, &cb, lane, range, wfp, rfp, dispatch_s,
-                  batch_arrivals = arrivals] {
-      BatchOutput out;
-      const bool ok = run_with_retries([&] {
-        util::fault_point(util::FaultSite::kStageExec);
-        out = cb.process_batch_on(lane, range);
-      });
-      util::MutexLock done_lk(mu_);
-      for (graph::NodeId v : wfp) {
-        TGNN_DCHECK(write_marks_[v] > 0, "write-mark release underflow");
-        --write_marks_[v];
-        --full_marks_[v];
-      }
-      for (graph::NodeId v : rfp) --full_marks_[v];
-      free_lanes_.push_back(lane);
-      --executing_;
-      if (ok) {
-        // The write footprint is the batch's unique endpoints — exactly
-        // the fan-out signal the profiler wants.
-        record_stage_sample(stage_array(out.parts), range, wfp.size());
-        record_batch(range, batch_arrivals, dispatch_s, out.latency_s);
-      } else {
-        fail_batch(range);
-      }
-    });
-    lk.lock();
-  }
-}
-
-void ServingEngine::scheduler_loop_pipelined() {
-  // The admitter of the staged dataflow pipeline. Micro-batches are formed
-  // in stream order exactly as in serial mode; each then enters the
-  // four-stage pipeline once the hazard check clears, and the stage
-  // workers carry it MemoryUpdate -> NeighborGather -> GnnCompute ->
-  // Decode over the bounded StageChannels. Because admission is
-  // head-of-line and every stage worker is serial, batches traverse every
-  // stage in stream order — combined with write-footprint disjointness
-  // this keeps per-vertex state writes chronological, and with read
-  // tracking (track_reads_) no in-flight batch ever observes another's
-  // effects: bit-identical to the serial path.
-  StagedBackend& sb = *staged_;
-  const auto& g = backend_.dataset().graph;
-
-  graph::BatchRange range;
-  std::vector<double> arrivals;
-  std::vector<graph::NodeId> wfp, rfp;
-  util::MutexLock lk(mu_);
-  while (next_batch(lk, range, arrivals)) {
-    write_footprint(g, range, wfp);
-
-    // Admission, stage 1: a free pipeline slot, and our writes touch
-    // nothing any in-flight batch reads or writes. In-flight work only
-    // shrinks while we wait (this thread is the only admitter), so the
-    // predicate is stable once satisfied.
-    while (free_lanes_.empty() || !disjoint(wfp, full_marks_))
-      cv_state_.wait(lk);
-
-    // Admission, stage 2 (read tracking): the READ footprint — sampled
-    // neighbors of our endpoints. Stage 1 guarantees no in-flight batch
-    // writes our endpoints, so their neighbor rows are quiescent and
-    // reading them off-lock is safe. Enter once no in-flight batch writes
-    // anything we will read.
+    // off-lock is safe. Admit once no in-flight batch writes anything we
+    // will read; the result is bit-identical to serial execution.
+    next.rfp.clear();
     if (track_reads_) {
       lk.unlock();
-      sb.read_footprint(range, rfp);
+      if (staged_ != nullptr)
+        staged_->read_footprint(next.range, next.rfp);
+      else
+        concurrent_->read_footprint(next.range, next.rfp);
       lk.lock();
-      while (!disjoint(rfp, write_marks_)) cv_state_.wait(lk);
-    } else {
-      rfp.clear();
+      while (!disjoint(next.rfp, write_marks_)) cv_state_.wait(lk);
     }
 
-    const std::size_t slot = free_lanes_.back();
-    free_lanes_.pop_back();
-    for (graph::NodeId v : wfp) {
-      ++write_marks_[v];
-      ++full_marks_[v];
-    }
-    for (graph::NodeId v : rfp) ++full_marks_[v];
-    batches_.push_back(range);
-    ++executing_;
-    peak_executing_ = std::max(peak_executing_, executing_);
-    // Swap, don't copy: the admission loop rebuilds wfp/rfp/arrivals from
-    // scratch each iteration, and this runs under the engine-wide mutex.
-    SlotMeta& meta = slot_meta_[slot];
-    meta.wfp.swap(wfp);
-    meta.rfp.swap(rfp);
-    meta.arrivals.swap(arrivals);
-    meta.range = range;
-    meta.dispatch_s = clock_.seconds();
-    meta.stage_s.fill(0.0);
-    if constexpr (util::kCheckedBuild) audit_in_flight_footprints();
-
+    const std::size_t slot = acquire(next);
+    // The slot's meta belongs to this batch until retire(slot), so the
+    // executors may read it off-lock.
+    const SlotMeta& meta = slot_meta_[slot];
     lk.unlock();
-    // Out-of-core prefetch, one stage early: the admitted batch's write
-    // footprint (its endpoints) and — when read tracking already computed
-    // it — the rows it will read are faulted in now, while predecessor
-    // batches still occupy the pipeline ahead of it. No-op on an
-    // all-resident store.
-    sb.prefetch_rows(meta.wfp);
-    if (!meta.rfp.empty()) sb.prefetch_rows(meta.rfp);
-    // Pipeline entry runs under the same retry envelope as the stages:
-    // begin_batch reads only the immutable stream, and the handoff into
-    // the first FIFO is a fault site of its own. A permanent fault here
-    // aborts the batch before any stage ran.
-    bool ok = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      sb.begin_batch(slot, range);
-    });
-    if (ok)
-      ok = run_with_retries(
-          [] { util::fault_point(util::FaultSite::kChannelHandoff); });
-    if (ok)
-      stage_q_[0]->push(slot);  // stalls while the first stage is busy
+    if (staged_ != nullptr)
+      enter_pipeline(slot, meta);
+    else if (workers_ == 1)
+      run_lane(slot, meta.range);  // the scheduler would only wait for it
     else
-      abort_slot(slot);
+      pool_.submit([this, slot, range = meta.range] { run_lane(slot, range); });
     lk.lock();
   }
   // Stream over (stop with an empty queue): close the pipe; the close
   // cascades stage by stage once each worker has drained its input, so
   // everything mid-pipeline still completes in order.
-  stage_q_[0]->close();
+  if (staged_ != nullptr) stage_q_[0]->close();
 }
 
-void ServingEngine::abort_slot(std::size_t slot) {
-  // Backend first (needs no engine lock): release the slot's pins and
-  // scratch. Stages before Decode write only the slot's context, so no
-  // persistent state was committed — per-vertex chronology is intact and
-  // the stream simply continues past the failed batch.
-  staged_->abort_batch(slot);
+std::size_t ServingEngine::acquire(SlotMeta& batch) {
+  for (graph::NodeId v : batch.wfp) {
+    ++write_marks_[v];
+    ++full_marks_[v];
+  }
+  for (graph::NodeId v : batch.rfp) ++full_marks_[v];
+  const std::size_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  batch.dispatch_s = clock_.seconds();
+  // Swap, don't copy: the slot's previous (cleared) buffers come back for
+  // the next formation, and this runs under the engine-wide mutex.
+  std::swap(slot_meta_[slot], batch);
+  batches_.push_back(slot_meta_[slot].range);
+  peak_executing_ =
+      std::max(peak_executing_, slot_meta_.size() - free_slots_.size());
+  if constexpr (util::kCheckedBuild) audit_in_flight_footprints();
+  return slot;
+}
+
+void ServingEngine::run_lane(std::size_t slot, graph::BatchRange range) {
+  BatchOutput out;
+  const bool ok = run_with_retries([&] {
+    util::fault_point(util::FaultSite::kStageExec);
+    out = workers_ > 1 ? concurrent_->process_batch_on(slot, range)
+                       : backend_.process_batch(range);
+  });
+  retire(slot, ok, stage_array(out.parts), out.latency_s);
+}
+
+void ServingEngine::enter_pipeline(std::size_t slot, const SlotMeta& meta) {
+  // Out-of-core prefetch, one stage early: the admitted batch's write
+  // footprint (its endpoints) and — when read tracking already computed
+  // it — the rows it will read are faulted in now, while predecessor
+  // batches still occupy the pipeline ahead of it. No-op on an
+  // all-resident store.
+  staged_->prefetch_rows(meta.wfp);
+  if (!meta.rfp.empty()) staged_->prefetch_rows(meta.rfp);
+  // Pipeline entry runs under the same retry envelope as the stages:
+  // begin_batch reads only the immutable stream. A permanent fault here
+  // aborts the batch before any stage ran.
+  const StageToken tok{slot, meta.dispatch_s, {}};
+  const bool begun = run_with_retries([&] {
+    util::fault_point(util::FaultSite::kStageExec);
+    staged_->begin_batch(slot, meta.range);
+  });
+  if (begun)
+    hand_off(0, tok);
+  else
+    retire(slot, false, tok.stage_s, 0.0);
+}
+
+void ServingEngine::hand_off(std::size_t k, const StageToken& tok) {
+  // The stage-channel handoff is a fault site of its own — the software
+  // analogue of a dropped FIFO beat between hardware modules.
+  if (run_with_retries(
+          [] { util::fault_point(util::FaultSite::kChannelHandoff); }))
+    stage_q_[k]->push(tok);  // stalls while stage k is busy
+  else
+    retire(tok.slot, false, tok.stage_s, 0.0);
+}
+
+void ServingEngine::stage_worker(std::size_t k) {
+  while (auto tok = stage_q_[k]->pop()) {
+    // The stage body is a fault site: transient faults are retried before
+    // the stage runs (the fault point precedes the work, so a retry never
+    // re-executes a half-run stage); a permanent fault aborts the batch.
+    const double begin_s = clock_.seconds();
+    const bool ran = run_with_retries([&] {
+      util::fault_point(util::FaultSite::kStageExec);
+      staged_->run_stage(static_cast<core::Stage>(k), tok->slot);
+    });
+    tok->stage_s[k] = clock_.seconds() - begin_s;
+    if (!ran)
+      retire(tok->slot, false, tok->stage_s, 0.0);
+    else if (k + 1 < core::kNumStages)
+      hand_off(k + 1, *tok);
+    else  // Decode committed; service spans admission to completion
+      retire(tok->slot, true, tok->stage_s,
+             clock_.seconds() - tok->dispatch_s);
+  }
+  if (k + 1 < core::kNumStages) stage_q_[k + 1]->close();
+}
+
+void ServingEngine::retire(std::size_t slot, bool ok,
+                           const std::array<double, core::kNumStages>& stage_s,
+                           double service_s) {
+  // Backend first (needs no engine lock). A staged batch either committed
+  // at Decode, or is aborted before it: stages before Decode write only the
+  // slot's context, so abort_batch releases pins and scratch with nothing
+  // committed — per-vertex chronology holds and the stream continues.
+  if (staged_ != nullptr) {
+    if (ok)
+      staged_->finish_batch(slot);
+    else
+      staged_->abort_batch(slot);
+  }
   util::MutexLock lk(mu_);
   SlotMeta& meta = slot_meta_[slot];
   for (graph::NodeId v : meta.wfp) {
@@ -789,76 +688,35 @@ void ServingEngine::abort_slot(std::size_t slot) {
     --full_marks_[v];
   }
   for (graph::NodeId v : meta.rfp) --full_marks_[v];
-  fail_batch(meta.range);
+  const graph::BatchRange range = meta.range;
+  if (ok) {
+    // The write footprint is the batch's unique endpoints — the fan-out
+    // signal the profiler wants.
+    profiler_.record(stage_s, range.size(), meta.wfp.size(), queue_.size());
+    for (std::size_t k = 0; k < core::kNumStages; ++k)
+      stage_samples_[k].push_back(stage_s[k]);
+    for (double a : meta.arrivals) {
+      const double wait = meta.dispatch_s - a;
+      latencies_.push_back(wait + service_s);
+      queue_waits_.push_back(wait);
+      services_.push_back(service_s);
+    }
+  } else {
+    failed_ += range.size();
+  }
+  for (std::size_t i = range.begin; i < range.end; ++i)
+    outcomes_.push_back(
+        {i, ok ? RequestOutcome::kServed : RequestOutcome::kFailed});
+  last_done_s_ = std::max(last_done_s_, clock_.seconds());
+  // Emptying the footprint is what marks the slot free for the hazard
+  // audit's occupancy notion — do it before parking the slot.
   meta.wfp.clear();
   meta.rfp.clear();
   meta.arrivals.clear();
-  free_lanes_.push_back(slot);
-  --executing_;
-}
-
-void ServingEngine::stage_worker(std::size_t k) {
-  StagedBackend& sb = *staged_;
-  while (auto slot = stage_q_[k]->pop()) {
-    // The stage body is a fault site: transient faults are retried before
-    // the stage runs (the fault point precedes the work, so a retry never
-    // re-executes a half-run stage); a permanent fault aborts the batch.
-    const double stage_begin_s = clock_.seconds();
-    const bool ran = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      sb.run_stage(static_cast<core::Stage>(k), *slot);
-    });
-    const double stage_s = clock_.seconds() - stage_begin_s;
-    if (!ran) {
-      abort_slot(*slot);
-      continue;
-    }
-    if (k + 1 < core::kNumStages) {
-      // Bank this stage's wall time for the profiler record Decode will
-      // make. One short lock per stage per batch — microseconds against
-      // stage times themselves, and the annotation scheme keeps every
-      // SlotMeta access inside the capability.
-      {
-        util::MutexLock lk(mu_);
-        slot_meta_[*slot].stage_s[k] = stage_s;
-      }
-      // Stage-channel handoff is the third fault site — the software
-      // analogue of a dropped FIFO beat between hardware modules.
-      const bool handed = run_with_retries(
-          [] { util::fault_point(util::FaultSite::kChannelHandoff); });
-      if (!handed) {
-        abort_slot(*slot);
-        continue;
-      }
-      stage_q_[k + 1]->push(*slot);
-      continue;
-    }
-    // Decode done: the batch's writes are committed — release its
-    // footprint marks and slot, and account the request latencies.
-    // Service time spans admission to completion (inter-stage queueing
-    // included), so percentiles describe what a request actually saw.
-    sb.finish_batch(*slot);
-    util::MutexLock done_lk(mu_);
-    SlotMeta& meta = slot_meta_[*slot];
-    for (graph::NodeId v : meta.wfp) {
-      TGNN_DCHECK(write_marks_[v] > 0, "write-mark release underflow");
-      --write_marks_[v];
-      --full_marks_[v];
-    }
-    for (graph::NodeId v : meta.rfp) --full_marks_[v];
-    meta.stage_s[k] = stage_s;
-    record_stage_sample(meta.stage_s, meta.range, meta.wfp.size());
-    record_batch(meta.range, meta.arrivals, meta.dispatch_s,
-                 clock_.seconds() - meta.dispatch_s);
-    // Emptying the meta is what marks the slot free for the hazard audit's
-    // occupancy notion — do it before parking the slot.
-    meta.wfp.clear();
-    meta.rfp.clear();
-    meta.arrivals.clear();
-    free_lanes_.push_back(*slot);
-    --executing_;
-  }
-  if (k + 1 < core::kNumStages) stage_q_[k + 1]->close();
+  free_slots_.push_back(slot);
+  TGNN_DCHECK(in_flight_ > 0, "batch retired with none in flight");
+  --in_flight_;
+  cv_state_.notify_all();
 }
 
 std::uint64_t ServingEngine::checkpoint(const std::string& path) {

@@ -8,44 +8,35 @@
 //   * `max_batch` requests are pending (batch-size cap), or
 //   * the oldest pending request has waited `max_wait_s` (latency flush).
 //
-// With `workers == 1` (the default) the scheduler is a single serial
-// executor: batches are dispatched strictly chronologically — the
-// state-write ordering Algorithm 1 requires — while still amortizing
-// per-batch overhead, exactly the latency/throughput trade the paper
-// sweeps in Fig. 5.
-//
-// With `pipelined` set the backend must implement StagedBackend ("cpu",
-// "cpu-mt", "sharded-cpu"): micro-batches are still FORMED and ADMITTED in
-// strict stream order, but each admitted batch then flows through the four
-// engine stages (core::Stage — MemoryUpdate, NeighborGather, GnnCompute,
-// Decode) on dedicated stage-worker threads wired by bounded StageChannels
-// (the software port of the paper's inter-module FIFOs, reusing
-// fpga::Fifo's stall semantics), so stage k of batch i overlaps stage k-1
-// of batch i+1. Admission runs the same conflict ledger as the worker
-// mode: a batch enters the pipeline only once its write footprint is
-// disjoint from every in-flight batch (and, in deterministic mode or on a
-// backend without race-free reads, once nothing in flight writes what it
-// will read) — per-vertex state writes stay chronological, and
-// deterministic pipelining is bit-identical to the serial path.
-//
-// With `workers > 1` the backend must implement ConcurrentBackend
-// ("sharded-cpu"): micro-batches are still FORMED and DISPATCHED in strict
-// stream order, but a batch whose vertex footprint is disjoint from every
-// in-flight batch starts executing on a free lane without waiting for its
-// predecessors — the parallelism the paper's hardware Updater exploits
-// (per-vertex chronological writes, no global serialization). Head-of-line
-// admission means any two batches touching a common vertex serialize in
-// stream order, so per-vertex state writes stay chronological in every
-// mode. Two conflict policies:
-//   * default (relaxed): only WRITE footprints (batch endpoints) are kept
-//     disjoint; a batch may read a neighbor's memory while another
-//     in-flight batch — earlier OR later in stream order — updates it.
-//     The read is race-free via shard locks but may observe either the
-//     pre- or post-update row (it can see a later batch's write early,
-//     not just a stale value).
+// One admission core serves every mode. The scheduler thread waits for a
+// free slot, forms the next batch, acquires its footprint in the conflict
+// ledger, hands the slot to an executor, and the executor retires it.
+// Batches are formed and admitted in strict stream order, and a batch is
+// admitted only once its WRITE footprint (edge endpoints) is disjoint from
+// every in-flight batch's; head-of-line admission therefore serializes any
+// two batches sharing a vertex in stream order, so per-vertex state writes
+// stay chronological — the guarantee Algorithm 1 needs, and the one the
+// paper's hardware Updater exploits instead of serializing globally. Two
+// executors:
+//   * whole-batch lanes. `workers == 1` (the default) is one lane, run on
+//     the scheduler thread: a strict serial executor that still amortizes
+//     per-batch overhead, the latency/throughput trade the paper sweeps in
+//     Fig. 5. `workers > 1` requires a ConcurrentBackend ("sharded-cpu")
+//     and runs disjoint batches on parallel lanes.
+//   * the staged pipeline (`pipelined`, requires a StagedBackend: "cpu",
+//     "cpu-mt", "sharded-cpu"): each slot flows through the four
+//     core::Stage workers over bounded StageChannels (the software port of
+//     the paper's inter-module FIFOs), so stage k of batch i overlaps stage
+//     k-1 of batch i+1.
+// Two conflict policies when more than one slot exists:
+//   * relaxed (default): only write footprints are kept disjoint; a batch
+//     may read a neighbor's memory while another in-flight batch — earlier
+//     OR later in stream order — updates it (race-free via shard locks, but
+//     either the pre- or post-update row may be seen).
 //   * deterministic: READ footprints (sampled neighbors) are tracked too,
-//     so no in-flight batch ever observes another's effects — the served
-//     state and embeddings are bit-identical to the serial "cpu" backend.
+//     so no in-flight batch observes another's effects — bit-identical to
+//     the serial "cpu" backend. A staged backend without race-free reads
+//     is always read-tracked.
 //
 // The submit queue is bounded: what happens when it fills is the
 // engine's admission policy (overload behavior under §II-A's bursty
@@ -143,8 +134,8 @@ struct ServingOptions {
   std::size_t workers = 1;   ///< parallel dispatch lanes; > 1 requires a
                              ///< ConcurrentBackend (clamped to its lanes())
   bool deterministic = false;  ///< track read footprints too: bit-identical
-                               ///< to serial execution (workers > 1 or
-                               ///< pipelined only)
+                               ///< to serial execution (a one-slot engine
+                               ///< is serial already)
   bool pipelined = false;  ///< stage-level cross-batch overlap; requires a
                            ///< StagedBackend, mutually exclusive with
                            ///< workers > 1
@@ -262,7 +253,7 @@ struct OutcomeRecord {
 /// head-of-line admission is supposed to maintain across in-flight batches,
 /// restated as an executable contract over the raw footprints instead of
 /// the mark counters it normally trusts. A checked build
-/// (-DTGNN_CHECKED=ON) runs it over the pipeline's occupied slots after
+/// (-DTGNN_CHECKED=ON) runs it over the engine's occupied slots after
 /// every admission.
 void audit_disjoint_footprints(
     std::span<const std::span<const graph::NodeId>> footprints);
@@ -348,20 +339,51 @@ class ServingEngine {
   [[nodiscard]] std::size_t workers() const { return workers_; }
 
  private:
+  /// The batch a lane or pipeline slot serves, from admission to retire.
+  /// An occupied slot is exactly one whose write footprint is still
+  /// stored, which is what the checked-build hazard audit keys on.
+  struct SlotMeta {
+    std::vector<graph::NodeId> wfp, rfp;  ///< marked footprints to release
+    std::vector<double> arrivals;
+    graph::BatchRange range;
+    double dispatch_s = 0.0;
+  };
+  /// What travels down the stage channels: the slot, its admission time,
+  /// and the stage wall times so far (fed to the profiler at retire).
+  struct StageToken {
+    std::size_t slot = 0;
+    double dispatch_s = 0.0;
+    std::array<double, core::kNumStages> stage_s{};
+  };
+
+  /// The admission core: wait for a free slot, form the next batch, wait
+  /// until its footprints are hazard-free, acquire them, and hand the slot
+  /// to an executor — until stopping with an empty queue.
   void scheduler_loop() TGNN_EXCLUDES(mu_);
-  void scheduler_loop_parallel() TGNN_EXCLUDES(mu_);
-  void scheduler_loop_pipelined() TGNN_EXCLUDES(mu_);
-  /// Stage worker k: pops slots from stage_q_[k], runs Stage k, hands the
-  /// slot to stage k+1 (Decode completes the batch instead).
+  /// Mark the hazard-free `batch`'s footprints in the ledger and swap it
+  /// into a free slot (returned; one must exist).
+  std::size_t acquire(SlotMeta& batch) TGNN_REQUIRES(mu_);
+  /// Whole-batch lane executor: one process_batch call, then retire.
+  void run_lane(std::size_t slot, graph::BatchRange range) TGNN_EXCLUDES(mu_);
+  /// Staged executor entry: prefetch, begin_batch, hand to stage 0.
+  void enter_pipeline(std::size_t slot, const SlotMeta& meta)
+      TGNN_EXCLUDES(mu_);
+  /// Push `tok` to stage k through the channel-handoff fault site; a
+  /// permanent fault retires the batch as failed.
+  void hand_off(std::size_t k, const StageToken& tok) TGNN_EXCLUDES(mu_);
+  /// Stage worker k: pops tokens from stage_q_[k], runs Stage k, hands the
+  /// token to stage k+1 (Decode retires the batch instead).
   void stage_worker(std::size_t k) TGNN_EXCLUDES(mu_);
+  /// The one completion path: finish or abort a staged batch on the
+  /// backend, release the slot's marks, record (ok) or fail the batch's
+  /// requests, free the slot, and signal completion.
+  void retire(std::size_t slot, bool ok,
+              const std::array<double, core::kNumStages>& stage_s,
+              double service_s) TGNN_EXCLUDES(mu_);
   /// Pop the next micro-batch (held open per max_batch/max_wait/flush)
-  /// under `lk` (which must hold mu_); returns false when stopping with an
-  /// empty queue.
-  bool next_batch(util::MutexLock& lk, graph::BatchRange& range,
-                  std::vector<double>& arrivals) TGNN_REQUIRES(mu_);
-  void record_batch(const graph::BatchRange& range,
-                    const std::vector<double>& arrivals, double dispatch_s,
-                    double service_s) TGNN_REQUIRES(mu_);
+  /// into `batch`'s range and arrivals, under `lk` (which must hold mu_);
+  /// returns false when stopping with an empty queue.
+  bool next_batch(util::MutexLock& lk, SlotMeta& batch) TGNN_REQUIRES(mu_);
   /// Shared submit tail: stamp the arrival, enqueue, advance the cursor.
   void enqueue_locked(std::size_t edge_index) TGNN_REQUIRES(mu_);
   /// Order/stopped preconditions every admission entry point shares.
@@ -388,42 +410,30 @@ class ServingEngine {
   /// >= retune_margin throughput gain (see file comment for the
   /// composition and hysteresis rules).
   void maybe_retune(bool degrade_flipped) TGNN_REQUIRES(mu_);
-  /// Feed one completed batch's stage times into the profiler and the
-  /// percentile samples. `unique_vertices` is the batch's deduplicated
-  /// endpoint count (the fan-out signal).
-  void record_stage_sample(const std::array<double, core::kNumStages>& stage_s,
-                           const graph::BatchRange& range,
-                           std::size_t unique_vertices) TGNN_REQUIRES(mu_);
   /// Runs `op` under the transient-fault retry envelope (fault_retries,
   /// exponential backoff). False on permanent failure; last_error_ set.
   bool run_with_retries(const std::function<void()>& op) TGNN_EXCLUDES(mu_);
-  /// Resolve every request of a permanently failed batch as kFailed and
-  /// retire the batch (in-flight count, completion signal).
-  void fail_batch(const graph::BatchRange& range) TGNN_REQUIRES(mu_);
-  /// Pipelined failure path: abort the slot's batch on the backend
-  /// (releases pins; no state was committed — stages before Decode only
-  /// write the slot's context), unwind its ledger marks, resolve its
-  /// requests as kFailed, and free the slot.
-  void abort_slot(std::size_t slot) TGNN_EXCLUDES(mu_);
   /// Checked-build hazard audit: rebuilds the in-flight picture from the
-  /// occupied pipeline slots' stored write footprints (a slot is occupied
+  /// occupied slots' stored write footprints (a slot is occupied
   /// iff its SlotMeta still holds one) and TGNN_CHECKs they are pairwise
   /// disjoint — catching a ledger desync (mark leak, footprint drift, slot
   /// reuse before release) the counters alone would hide.
   void audit_in_flight_footprints() const TGNN_REQUIRES(mu_);
 
   Backend& backend_;
-  ConcurrentBackend* concurrent_ = nullptr;  ///< set when workers_ > 1
-  StagedBackend* staged_ = nullptr;          ///< set when opts.pipelined
+  ConcurrentBackend* concurrent_ = nullptr;  ///< any ConcurrentBackend;
+                                             ///< lanes use it when > 1
+  StagedBackend* staged_ = nullptr;  ///< set when opts.pipelined: slots
+                                     ///< run the staged executor
   ServingOptions opts_;
   std::size_t workers_ = 1;
-  bool track_reads_ = false;  ///< pipelined: read-footprint admission on
-                              ///< (deterministic, or no race-free reads)
+  bool track_reads_ = false;  ///< read-footprint admission on (deterministic
+                              ///< with > 1 slot, or a staged backend
+                              ///< without race-free reads)
 
   mutable util::Mutex mu_;
   util::CondVar cv_submit_;  ///< signals: new request or stop
-  util::CondVar cv_state_;   ///< signals: queue space / lane free /
-                             ///< batch completion
+  util::CondVar cv_state_;   ///< signals: queue space / batch retired
 
   struct Pending {
     std::size_t index;
@@ -435,8 +445,7 @@ class ServingEngine {
   bool flush_ TGNN_GUARDED_BY(mu_) = false;
   /// Batches formed or executing.
   std::size_t in_flight_ TGNN_GUARDED_BY(mu_) = 0;
-  /// Batches dispatched to a lane right now.
-  std::size_t executing_ TGNN_GUARDED_BY(mu_) = 0;
+  /// Gauge: occupied-slot high-water (batches executing at once).
   std::size_t peak_executing_ TGNN_GUARDED_BY(mu_) = 0;
   /// Gauge: in_flight_ high-water.
   std::size_t peak_in_flight_ TGNN_GUARDED_BY(mu_) = 0;
@@ -455,7 +464,7 @@ class ServingEngine {
   std::string last_error_ TGNN_GUARDED_BY(mu_);
 
   // Stage profiling + online retune state. The profiler is fed under mu_
-  // from every completion path; tuning_log_ journals both knob families.
+  // by retire; tuning_log_ journals both knob families.
   perf::StageProfiler profiler_ TGNN_GUARDED_BY(mu_);
   std::array<std::vector<double>, core::kNumStages> stage_samples_
       TGNN_GUARDED_BY(mu_);
@@ -477,32 +486,18 @@ class ServingEngine {
   std::size_t pressure_run_ TGNN_GUARDED_BY(mu_) = 0;
   std::size_t clear_run_ TGNN_GUARDED_BY(mu_) = 0;
 
-  // Conflict ledger of the parallel and pipelined modes (incremented at
-  // dispatch, decremented at completion). write = batch endpoints; full =
-  // endpoints + tracked neighbor reads. free_lanes_ doubles as the free
-  // pipeline-slot list in pipelined mode.
+  // Conflict ledger (incremented at acquire, decremented at retire):
+  // write = batch endpoints; full = endpoints + tracked neighbor reads.
   std::vector<std::uint32_t> write_marks_ TGNN_GUARDED_BY(mu_);
   std::vector<std::uint32_t> full_marks_ TGNN_GUARDED_BY(mu_);
-  std::vector<std::size_t> free_lanes_ TGNN_GUARDED_BY(mu_);
-
-  /// Per-slot metadata of a batch in the staged pipeline, written at
-  /// admission and cleared at Decode completion — so an occupied slot is
-  /// exactly one whose footprint is still stored, which is what the
-  /// checked-build hazard audit keys on.
-  struct SlotMeta {
-    std::vector<graph::NodeId> wfp, rfp;  ///< marked footprints to release
-    std::vector<double> arrivals;
-    graph::BatchRange range;  ///< for typed outcomes at completion/abort
-    double dispatch_s = 0.0;
-    /// Stage wall times, written by each stage worker as it finishes its
-    /// stage; fed to the profiler at Decode completion.
-    std::array<double, core::kNumStages> stage_s{};
-  };
+  /// The slot table: one entry per lane, or per pipeline slot when
+  /// pipelined; free_slots_ lists the unoccupied ones.
   std::vector<SlotMeta> slot_meta_ TGNN_GUARDED_BY(mu_);
-  /// Inter-stage channels: stage_q_[k] feeds stage worker k (slot indices).
-  /// The vector itself is immutable after construction (each channel has
-  /// its own internal lock), so it carries no guard.
-  std::vector<std::unique_ptr<StageChannel<std::size_t>>> stage_q_;
+  std::vector<std::size_t> free_slots_ TGNN_GUARDED_BY(mu_);
+  /// Inter-stage channels: stage_q_[k] feeds stage worker k. The vector
+  /// itself is immutable after construction (each channel has its own
+  /// internal lock), so it carries no guard.
+  std::vector<std::unique_ptr<StageChannel<StageToken>>> stage_q_;
 
   Stopwatch clock_;
   std::vector<double> latencies_ TGNN_GUARDED_BY(mu_);
@@ -512,8 +507,9 @@ class ServingEngine {
   double first_submit_s_ TGNN_GUARDED_BY(mu_) = -1.0;
   double last_done_s_ TGNN_GUARDED_BY(mu_) = 0.0;
 
-  /// Runs scheduler_loop (+ the worker lanes in parallel mode); with one
-  /// worker the scheduler is a strict serial executor.
+  /// Runs scheduler_loop plus its executors: the lanes when workers_ > 1
+  /// (a single lane runs on the scheduler thread), or the four stage
+  /// workers when pipelined.
   ThreadPool pool_;
 };
 

@@ -1,7 +1,7 @@
 // The serving scheduler's hazard-ledger audit: the admission invariant —
 // no two in-flight batches with intersecting write footprints — restated
 // over raw footprints and proven falsifiable. The engine-level integration
-// (audit after every pipelined admission) only runs under
+// (audit after every admission, in both executors) only runs under
 // -DTGNN_CHECKED=ON; the primitive itself is always available, so its
 // contract is pinned in every build.
 #include <gtest/gtest.h>
@@ -38,12 +38,13 @@ TEST(HazardAuditDeathTest, IntersectingFootprintsAbort) {
   EXPECT_DEATH(audit_disjoint_footprints(views(dup)), "hazard audit");
 }
 
-TEST(HazardAudit, CheckedPipelinedServingRunsTheAuditCleanly) {
-  // End-to-end: drive the pipelined scheduler (which, in checked builds,
-  // audits the in-flight footprints at every admission) over a real
-  // stream. Passing means every admission the engine actually made kept
-  // the footprints disjoint — in unchecked builds this degrades to a
-  // plain pipelined-serving smoke test.
+TEST(HazardAudit, CheckedServingRunsTheAuditCleanlyInBothExecutors) {
+  // End-to-end: drive both executors (which, in checked builds, audit the
+  // in-flight footprints at every admission) over a real stream — the
+  // staged pipeline, and two whole-batch lanes under both conflict
+  // policies. Passing means every admission the engine actually made kept
+  // the footprints disjoint — in unchecked builds this degrades to a plain
+  // serving smoke test.
   data::SyntheticConfig dcfg;
   dcfg.num_users = 40;
   dcfg.num_items = 25;
@@ -60,17 +61,33 @@ TEST(HazardAudit, CheckedPipelinedServingRunsTheAuditCleanly) {
   cfg.num_neighbors = 4;
   core::TgnModel model(cfg, 1);
 
-  auto backend = make_backend("cpu", model, ds);
-  ServingOptions opts;
-  opts.pipelined = true;
-  opts.max_batch = 16;
-  opts.max_wait_s = 0.0;  // dispatch eagerly: maximize concurrent batches
-  ServingEngine engine(*backend, opts);
-  for (std::size_t i = 0; i < 300; ++i) engine.submit(i);
-  engine.drain();
-  engine.stop();
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.num_requests, 300u);
+  struct Input {
+    const char* key;
+    bool pipelined;
+    std::size_t workers;
+    bool deterministic;
+  };
+  for (const Input& in : {Input{"cpu", true, 1, false},
+                          Input{"sharded-cpu", false, 2, false},
+                          Input{"sharded-cpu", false, 2, true}}) {
+    BackendOptions bopts;
+    bopts.threads = 2;
+    auto backend = make_backend(in.key, model, ds, bopts);
+    ServingOptions opts;
+    opts.pipelined = in.pipelined;
+    opts.workers = in.workers;
+    opts.deterministic = in.deterministic;
+    opts.max_batch = 16;
+    opts.max_wait_s = 0.0;  // dispatch eagerly: maximize concurrent batches
+    ServingEngine engine(*backend, opts);
+    for (std::size_t i = 0; i < 300; ++i) engine.submit(i);
+    engine.drain();
+    engine.stop();
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.num_requests, 300u)
+        << in.key << " workers=" << in.workers
+        << " deterministic=" << in.deterministic;
+  }
 }
 
 }  // namespace
