@@ -127,7 +127,7 @@ inline void add_common_flags(ArgParser& args,
                   "vertex-state budget: bytes, k/m/g, or % (0 = resident)");
   if (d.autotune != nullptr)
     args.add_flag("autotune", d.autotune,
-                  "run the measured-profile auto-tuner over this workload "
+                  "run the successive-halving auto-tuner over this workload "
                   "(1 = on)");
 }
 

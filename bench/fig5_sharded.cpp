@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- auto-tuned row: the DSE loop picks the configuration ---------------
-  // Tuning runs on a throwaway backend (its calibration serves consume the
+  // Tuning runs on a throwaway backend (its measurement serves consume the
   // same stream indices); the tuned config is then measured on a fresh
   // backend over exactly the slice the sweep rows used, so the comparison
   // is apples-to-apples.
@@ -168,13 +168,9 @@ int main(int argc, char** argv) {
     bopts.memory_budget =
         bench::resolve_memory_budget(common.memory_budget, model, ds);
     perf::AutoTunerOptions topts;
-    topts.hardware_threads = hw;
-    // The search's calibration + validation serves must fit the stream
-    // region (2 calibration runs + top-K validation runs).
-    topts.calib_events =
-        std::min<std::size_t>(topts.calib_events, region.size() / 6);
-    topts.validate_events =
-        std::min<std::size_t>(topts.validate_events, region.size() / 6);
+    // The search's measurement serves must fit the stream region.
+    topts.budget_events =
+        std::min(topts.budget_events, region.size() * 2 / 3);
     perf::TuneResult tuned;
     {
       auto scratch = runtime::make_backend("sharded-cpu", model, ds, bopts);

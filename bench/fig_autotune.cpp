@@ -2,11 +2,12 @@
 // flavors, written to BENCH_autotune.json (each PR's CI run uploads the
 // JSON as an artifact — the repo's auto-tuning trajectory).
 //
-// For each (skew, backend) combination the AutoTuner runs its DSE loop on
-// a throwaway backend — two calibration serves at different batch sizes,
-// model ranking of the candidate grid, measured validation of the top-K —
-// and the winning ServingOptions is then measured on a FRESH backend over
-// exactly the stream slice two hand-coded defaults are measured on:
+// For each (skew, backend) combination the AutoTuner runs its
+// successive-halving search on a throwaway backend — every admitted
+// candidate served in round 0, the measured-better half kept each round
+// until one is left — and the winning ServingOptions is then measured on
+// a FRESH backend over exactly the stream slice two hand-coded defaults
+// are measured on:
 //
 //   * "default"      — ServingOptions{} (batch 256, 2 ms wait, serial),
 //   * "fig5-default" — the serving sweeps' hard-coded row (batch 32,
@@ -43,7 +44,6 @@ struct Row {
   double thpt_rps = 0.0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
-  double predicted_rps = 0.0;  ///< tuned rows: the model's claim
   std::string bottleneck;
 };
 
@@ -66,11 +66,10 @@ void write_json(const std::string& path, std::size_t hw, bool gates_enforced,
         "    {\"zipf\": %.2f, \"backend\": \"%s\", \"config\": \"%s\", "
         "\"max_batch\": %zu, \"workers\": %zu, \"pipelined\": %s, "
         "\"pipeline_depth\": %zu, \"thpt_rps\": %.1f, \"p50_ms\": %.3f, "
-        "\"p95_ms\": %.3f, \"predicted_rps\": %.1f, "
-        "\"bottleneck\": \"%s\"}%s\n",
+        "\"p95_ms\": %.3f, \"bottleneck\": \"%s\"}%s\n",
         r.zipf, r.backend.c_str(), r.config.c_str(), r.max_batch, r.workers,
         r.pipelined ? "true" : "false", r.pipeline_depth, r.thpt_rps,
-        r.p50_ms, r.p95_ms, r.predicted_rps, r.bottleneck.c_str(),
+        r.p50_ms, r.p95_ms, r.bottleneck.c_str(),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -131,14 +130,11 @@ int main(int argc, char** argv) {
     for (const auto& key : bench::split_csv(args.get("backends"))) {
       runtime::BackendOptions bopts;
 
-      // The DSE loop, on a throwaway backend (calibration serves traffic).
+      // The search, on a throwaway backend (its measurements serve
+      // traffic); its budget must fit the stream region.
       perf::AutoTunerOptions topts;
-      topts.hardware_threads = hw;
-      topts.calib_events =
-          std::min<std::size_t>(topts.calib_events, region.size() / 6);
-      topts.validate_events =
-          std::min<std::size_t>(topts.validate_events, region.size() / 6);
-      if (key == "cpu-mt") topts.backend_threads = hw;
+      topts.budget_events =
+          std::min(topts.budget_events, region.size() * 2 / 3);
       perf::TuneResult tuned;
       {
         auto scratch = runtime::make_backend(key, model, ds, bopts);
@@ -183,7 +179,6 @@ int main(int argc, char** argv) {
         r.p95_ms = s.p95_latency_s * 1e3;
         r.bottleneck = bench::bottleneck_cell(s);
         if (cfg.label == "tuned") {
-          r.predicted_rps = tuned.predicted.throughput_rps;
           tuned_rps = r.thpt_rps;
         } else {
           best_default = std::max(best_default, r.thpt_rps);

@@ -135,11 +135,8 @@ int main(int argc, char** argv) {
     auto scratch = runtime::make_backend("cpu", model, ds, bopts);
     runtime::fast_forward(*scratch, region.begin);
     perf::AutoTunerOptions topts;
-    topts.hardware_threads = hw;
-    topts.calib_events =
-        std::min<std::size_t>(topts.calib_events, region.size() / 6);
-    topts.validate_events =
-        std::min<std::size_t>(topts.validate_events, region.size() / 6);
+    topts.budget_events =
+        std::min(topts.budget_events, region.size() * 2 / 3);
     perf::AutoTuner tuner(*scratch, topts);
     const auto tuned = tuner.search(region.begin);
     std::printf("%s\n\n", tuned.describe().c_str());

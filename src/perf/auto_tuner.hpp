@@ -1,57 +1,34 @@
 // The paper's design-space-exploration loop, applied to the software
-// runtime: a calibrated cost model over measured stage profiles
-// (perf/stage_profile.hpp) ranks ServingOptions candidates, and an offline
-// searcher picks the best configuration for a backend + workload.
+// runtime: an offline searcher that picks the ServingOptions a backend +
+// workload serves fastest, by measurement alone.
 //
-// SoftwarePerfModel is the sibling of the Section V analytic model
-// (perf/perf_model.hpp): where PerfModel predicts the accelerator's
-// pipeline period Tp = max stage and fill = sum of stages from design
-// parameters (Eq. 18-22), SoftwarePerfModel predicts the serving engine's
-// period and fill from MEASURED per-stage affine cost fits
-// t_k(B) = fixed_k + per_edge_k * B:
+// The Section V analytic model (perf/perf_model.hpp) earns its place in
+// the hardware DSE because Fig. 6 validates it within 5-15% of
+// measurement. No software cost model has cleared that bar here — serving
+// throughput depends on scheduler overhead, footprint conflicts and cache
+// behaviour no stage-time sum captures — so AutoTuner::search() ranks
+// candidates the way the paper validates its model: by serving real
+// traffic.
 //
-//   serial       period = sum_k t_k(B)                  (one batch at a time)
-//   pipelined    period = max(max_k t_k(B) * d, sum_k t_k(B) * d / overlap)
-//                with overlap = min(depth, kNumStages, hw threads) and
-//                d = min(overlap, backend internal threads): a backend whose
-//                serial batch already ran on T omp threads gives each
-//                concurrent stage only T/overlap of them, so stage times
-//                dilate — pipelining buys nothing a work-conserving
-//                parallel backend didn't already have.
-//   workers W    period = sum_k t_k(B) / P with
-//                P = 1 + (min(W, hw) - 1) * exp(-(vpe*B)^2 / num_nodes):
-//                the probability two batch footprints of vpe*B vertices
-//                drawn from num_nodes collide (birthday approximation)
-//                discounts the lanes head-of-line admission will stall.
+// search() is successive halving over candidates() (every point the
+// backend's contracts admit: workers need a ConcurrentBackend, pipelining
+// a StagedBackend). Round 0 serves every candidate on an equal share of
+// the round's events; each later round keeps the better half by measured
+// req/s and splits an equal round budget among the survivors, so the
+// candidates still in the race are measured on ever longer slices. The
+// search ends when one candidate is left. The rounds split
+// `budget_events` evenly, so the whole search serves at most that many.
 //
-//   throughput = B / period,  first-batch latency = fill = sum_k t_k(B) * d
-//
-// On top of the stage terms every mode's period pays oh(B) — the affine
-// per-batch scheduler overhead (formation, queue handoff, bookkeeping)
-// that the stage buckets cannot see, fitted by calibrate_overhead() from
-// the residual between measured and bucketed period at the two
-// calibration serves (zero if never calibrated).
-//
-// Calibration comes either from one live profile (its windowed affine
-// fits) or from two profiles taken at deliberately different batch sizes
-// (two-point affine through the EWMA means — the offline tuner's route,
-// robust when closed-loop serving gives the window no size variance).
-//
-// AutoTuner::search() is the DSE loop: run short calibration serves at two
-// batch sizes, build the model, rank every candidate the backend's
-// contracts admit (workers need a ConcurrentBackend, pipelining a
-// StagedBackend), optionally re-measure the top-K predicted candidates,
-// and return the winning ServingOptions. The search CONSUMES stream events
-// (calibration and validation serve real traffic and advance backend
-// state) — tune on a throwaway backend, or treat the consumed prefix as
-// warmup and continue serving from TuneResult::next_index.
+// The search CONSUMES stream events (every measurement serves real
+// traffic and advances backend state) — tune on a throwaway backend, or
+// treat the consumed prefix as warmup and continue serving from
+// TuneResult::next_index.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "perf/stage_profile.hpp"
 #include "runtime/serving.hpp"
 
 namespace tgnn::perf {
@@ -66,100 +43,30 @@ struct SwCandidate {
   [[nodiscard]] std::string describe() const;
 };
 
-/// The model's output for one candidate (the software Eq. 18-22 row).
-struct SwPrediction {
-  std::array<double, core::kNumStages> stage_s{};  ///< t_k(B)
-  double batch_s = 0.0;       ///< sum of stages: serial service time
-  double bottleneck_s = 0.0;  ///< max stage: the pipeline's Tp analogue
-  double period_s = 0.0;      ///< steady-state time between completions
-  double fill_s = 0.0;        ///< first-batch end-to-end (pipeline fill)
-  double throughput_rps = 0.0;
-  double latency_s = 0.0;     ///< fill + half a formation wait
-};
-
-class SoftwarePerfModel {
- public:
-  /// Calibrate from one live profile's windowed affine fits.
-  explicit SoftwarePerfModel(const StageProfile& profile);
-  /// Two-point affine calibration across profiles measured at two batch
-  /// sizes (EWMA means vs EWMA batch edges). Degenerate spacing (same
-  /// batch size twice) falls back to the through-origin fit of `hi`.
-  SoftwarePerfModel(const StageProfile& lo, const StageProfile& hi);
-
-  /// Core count the candidate's parallelism is capped by (default 1).
-  void set_hardware_threads(std::size_t hw);
-  /// Graph size anchoring the footprint-collision discount for workers.
-  void set_num_nodes(std::size_t n);
-  /// OpenMP width the calibration profile's serial batches ran with
-  /// (default 1); > 1 dilates pipelined stage times (see file comment).
-  void set_backend_threads(std::size_t t);
-
-  /// Fold the scheduler overhead the stage buckets cannot see into the
-  /// model. The stage fits only cover time spent INSIDE process_batch's
-  /// instrumented sections; batch formation, queue handoff, and
-  /// bookkeeping are invisible to them yet sit on the serial critical
-  /// path every period. Given the measured throughput of the two
-  /// calibration serves, this fits the residual
-  ///   measured_period(B) - sum_k t_k(B)
-  /// as an affine per-batch overhead oh(B) = oh_fixed + oh_per_item * B
-  /// (clamped non-negative) that predict() adds to every candidate's
-  /// period and fill. Without this call the overhead is zero and
-  /// predictions are pure stage sums.
-  void calibrate_overhead(const StageProfile& lo, double rps_lo,
-                          const StageProfile& hi, double rps_hi);
-  /// oh(B): calibrated per-batch scheduler overhead (0 before calibration).
-  [[nodiscard]] double overhead_s(double batch) const {
-    return oh_fixed_s_ + oh_per_item_s_ * batch;
-  }
-
-  [[nodiscard]] SwPrediction predict(const SwCandidate& c) const;
-  /// t_k(B) from the calibrated fit.
-  [[nodiscard]] double stage_time_s(std::size_t stage,
-                                    std::size_t batch_edges) const;
-  [[nodiscard]] double vertices_per_edge() const { return vpe_; }
-
- private:
-  std::array<double, core::kNumStages> fixed_{};
-  std::array<double, core::kNumStages> per_edge_{};
-  double oh_fixed_s_ = 0.0;     ///< per-batch scheduler overhead, fixed part
-  double oh_per_item_s_ = 0.0;  ///< per-batch scheduler overhead, per item
-  double vpe_ = 2.0;
-  std::size_t hw_ = 1;
-  std::size_t num_nodes_ = 0;
-  std::size_t backend_threads_ = 1;
-};
-
 struct AutoTunerOptions {
-  std::size_t calib_events = 1536;   ///< stream events per calibration run
-  std::size_t calib_batch_lo = 32;   ///< the two calibration batch sizes
-  std::size_t calib_batch_hi = 128;
+  /// Stream events the whole search may serve, split evenly across the
+  /// halving rounds.
+  std::size_t budget_events = 6144;
   /// Candidate grids. Worker counts above the backend's lanes() and modes
   /// the backend's contracts don't admit are skipped, not errors.
   std::vector<std::size_t> batch_grid = {16, 32, 64, 128, 256, 512};
   std::vector<std::size_t> worker_grid = {2, 4, 8};
   std::vector<std::size_t> depth_grid = {2, core::kNumStages};
   double max_wait_s = 1e-3;  ///< formation wait of every candidate
-  std::size_t hardware_threads = 0;  ///< 0 = std::thread::hardware_concurrency
-  std::size_t backend_threads = 1;   ///< omp width of a serial batch (cpu-mt)
-  /// Re-measure the top-K predicted candidates on real traffic and return
-  /// the measured-best (0 = trust the model outright).
-  std::size_t validate_top_k = 3;
-  std::size_t validate_events = 1024;
 };
 
-/// One ranked design point of the search.
+/// One candidate with its most recent measurement.
 struct RankedCandidate {
   SwCandidate candidate;
-  SwPrediction predicted;
-  double measured_rps = 0.0;  ///< 0 unless this candidate was validated
+  double measured_rps = 0.0;  ///< req/s in the last round it was served
 };
 
 struct TuneResult {
   runtime::ServingOptions options;  ///< the winner, engine-ready
   SwCandidate chosen;
-  SwPrediction predicted;           ///< the winner's model row
-  StageProfile profile;             ///< calibration profile (batch_hi run)
-  std::vector<RankedCandidate> ranked;  ///< every candidate, best first
+  /// Every candidate, best first: ordered by the round it was eliminated
+  /// in (the winner survived them all), then by its last measured req/s.
+  std::vector<RankedCandidate> ranked;
   std::size_t next_index = 0;  ///< first stream index search() left unconsumed
   [[nodiscard]] std::string describe() const;
 };
@@ -169,13 +76,14 @@ class AutoTuner {
   /// The backend must outlive the tuner; search() serves traffic on it.
   explicit AutoTuner(runtime::Backend& backend, AutoTunerOptions opts = {});
 
-  /// Run the DSE loop starting at stream index `start_index` (the backend
-  /// must already be fast-forwarded to it). See the file comment.
+  /// Run the successive-halving search starting at stream index
+  /// `start_index` (the backend must already be fast-forwarded to it).
+  /// See the file comment. Throws std::invalid_argument when the grids
+  /// admit no candidate.
   [[nodiscard]] TuneResult search(std::size_t start_index);
 
   /// The candidate list the backend's contracts admit (serial always;
-  /// workers / pipelined modes gated on the backend's interfaces) — split
-  /// out for tests and for callers with their own ranking.
+  /// workers / pipelined modes gated on the backend's interfaces).
   [[nodiscard]] std::vector<SwCandidate> candidates() const;
 
   /// ServingOptions realizing one candidate under this tuner's options.
@@ -183,10 +91,9 @@ class AutoTuner {
       const SwCandidate& c) const;
 
   /// Serve `events` requests from `begin` under `sopts` and return the
-  /// engine's stage profile (and, optionally, its measured throughput).
-  StageProfile profile_run(const runtime::ServingOptions& sopts,
-                           std::size_t begin, std::size_t events,
-                           double* measured_rps = nullptr);
+  /// engine's measured throughput (req/s; 0 when nothing was served).
+  double measure_rps(const runtime::ServingOptions& sopts, std::size_t begin,
+                     std::size_t events);
 
  private:
   runtime::Backend& backend_;

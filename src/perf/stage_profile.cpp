@@ -15,16 +15,6 @@ const char* stage_name(std::size_t stage) {
   return "?";
 }
 
-double StageProfile::total_ewma_s() const {
-  double sum = 0.0;
-  for (const auto& s : stages) sum += s.ewma_s;
-  return sum;
-}
-
-double StageProfile::bottleneck_ewma_s() const {
-  return stages[bottleneck_stage()].ewma_s;
-}
-
 std::size_t StageProfile::bottleneck_stage() const {
   std::size_t best = 0;
   for (std::size_t k = 1; k < core::kNumStages; ++k)
@@ -57,44 +47,7 @@ std::string StageProfile::describe() const {
 StageProfiler::StageProfiler(double alpha, std::size_t window)
     : alpha_(alpha), window_(std::max<std::size_t>(window, 2)) {
   for (auto& r : ring_) r.assign(window_, 0.0);
-  ring_edges_.assign(window_, 0.0);
 }
-
-namespace {
-
-/// Least-squares affine fit y = fixed + per_edge * x over the window, with
-/// a monotonicity prior (stage time cannot shrink with batch size): a
-/// negative slope or intercept degrades to the through-origin fit.
-void affine_fit(const std::vector<double>& x, const std::vector<double>& y,
-                std::size_t n, double* fixed, double* per_edge) {
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const auto dn = static_cast<double>(n);
-  const double denom = dn * sxx - sx * sx;
-  const double origin_slope = sx > 0.0 ? sy / sx : 0.0;
-  // Relative variance guard: a window of near-identical batch sizes has no
-  // slope information — denom / (n * mean_x^2) measures the spread.
-  if (sx <= 0.0 || denom <= 1e-6 * sx * sx) {
-    *fixed = 0.0;
-    *per_edge = origin_slope;
-    return;
-  }
-  double slope = (dn * sxy - sx * sy) / denom;
-  double intercept = (sy - slope * sx) / dn;
-  if (slope < 0.0 || intercept < 0.0) {
-    slope = origin_slope;
-    intercept = 0.0;
-  }
-  *fixed = intercept;
-  *per_edge = slope;
-}
-
-}  // namespace
 
 void StageProfiler::record(const std::array<double, core::kNumStages>& stage_s,
                            std::size_t batch_edges,
@@ -108,13 +61,11 @@ void StageProfiler::record(const std::array<double, core::kNumStages>& stage_s,
     sum_[k] += stage_s[k];
     ring_[k][ring_pos_] = stage_s[k];
   }
-  ring_edges_[ring_pos_] = static_cast<double>(batch_edges);
   ring_pos_ = (ring_pos_ + 1) % window_;
   ring_fill_ = std::min(ring_fill_ + 1, window_);
 
   const auto edges = static_cast<double>(batch_edges);
   ewma_edges_ = first ? edges : alpha_ * edges + (1.0 - alpha_) * ewma_edges_;
-  sum_edges_ += edges;
   if (batch_edges > 0) {
     const double vpe = static_cast<double>(unique_vertices) / edges;
     ewma_vpe_ = first ? vpe : alpha_ * vpe + (1.0 - alpha_) * ewma_vpe_;
@@ -143,11 +94,8 @@ StageProfile StageProfiler::snapshot() const {
     };
     p.stages[k].p50_s = idx(0.50);
     p.stages[k].p95_s = idx(0.95);
-    affine_fit(ring_edges_, ring_[k], ring_fill_, &p.stages[k].fixed_s,
-               &p.stages[k].per_edge_s);
   }
   p.ewma_batch_edges = ewma_edges_;
-  p.mean_batch_edges = sum_edges_ / n;
   p.vertices_per_edge = ewma_vpe_;
   p.ewma_queue_depth = ewma_queue_;
   return p;
@@ -158,11 +106,9 @@ void StageProfiler::reset() {
   ring_fill_ = 0;
   ring_pos_ = 0;
   for (auto& r : ring_) std::fill(r.begin(), r.end(), 0.0);
-  std::fill(ring_edges_.begin(), ring_edges_.end(), 0.0);
   ewma_.fill(0.0);
   sum_.fill(0.0);
   ewma_edges_ = 0.0;
-  sum_edges_ = 0.0;
   ewma_vpe_ = 2.0;
   ewma_queue_ = 0.0;
 }

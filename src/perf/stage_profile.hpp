@@ -1,24 +1,24 @@
-// Low-overhead per-stage profiling of the software serving pipeline — the
-// measurement half of the runtime auto-tuner (the other half is the
-// calibrated cost model in perf/auto_tuner.hpp).
+// Low-overhead per-stage profiling of the software serving pipeline: which
+// core::Stage a workload actually spends its batches in.
 //
 // The ServingEngine feeds one record() per completed micro-batch: the four
 // engine-stage times (core::Stage — MemoryUpdate / NeighborGather /
 // GnnCompute / Decode), the batch's edge count, its unique-vertex count
 // (the gather fan-out / endpoint-dedup factor the Section V model calls
 // vertices-per-edge), and the submit-queue depth at completion. The
-// profiler keeps an EWMA mean per signal plus a small fixed ring of recent
-// samples per stage for percentiles — O(1) doubles per batch, no
-// allocation after construction — so it stays on in production serving.
+// profiler keeps an EWMA and a plain mean per stage plus a small fixed
+// ring of recent samples per stage for percentiles — O(1) doubles per
+// batch, no allocation after construction — so it stays on in production
+// serving. ServingStats carries the snapshot; describe() and the bench
+// tables name the bottleneck stage from it.
 //
 // Attribution convention: profiles recorded from aggregate PartTimes
-// (serial / multi-worker modes) map the buckets memory -> MemoryUpdate,
+// (whole-batch lanes) map the buckets memory -> MemoryUpdate,
 // sample -> NeighborGather, gnn -> GnnCompute, update -> Decode. The
 // batched GNN gather is charged to the gnn bucket by PartTimes even though
 // it executes inside the NeighborGather stage, so bucket profiles shift
 // some gather time into GnnCompute versus the stage-wall times the
-// pipelined scheduler records; the cost model only needs the sum and the
-// max, and the calibration tests pin the resulting error.
+// pipelined executor records.
 #pragma once
 
 #include <array>
@@ -39,33 +39,19 @@ struct StageStat {
   double mean_s = 0.0;  ///< plain mean over everything recorded
   double p50_s = 0.0;   ///< percentiles over the recent-sample window
   double p95_s = 0.0;
-  /// Affine cost fit t(B) = fixed_s + per_edge_s * B, least-squares over
-  /// the recent window's (batch_edges, time) pairs — what lets one live
-  /// profile calibrate the software cost model. Live batch sizes vary
-  /// (max_wait flushes, contiguous-run caps), which is the variance the
-  /// fit needs; when every batch formed at the same size the fit falls
-  /// back to through-origin (fixed_s = 0), i.e. "no evidence that
-  /// resizing changes per-edge cost".
-  double fixed_s = 0.0;
-  double per_edge_s = 0.0;
 };
 
-/// Snapshot of the measured pipeline shape — everything the software cost
-/// model needs to rank serving configurations.
+/// Snapshot of the measured pipeline shape.
 struct StageProfile {
   std::array<StageStat, core::kNumStages> stages;
   std::size_t batches = 0;        ///< records this snapshot summarizes
   double ewma_batch_edges = 0.0;  ///< EWMA micro-batch size (edges)
-  double mean_batch_edges = 0.0;
   /// Unique endpoints per edge within a batch (EWMA) — the dedup factor
   /// Section V's Eq. 20 calibrates with measure_vertices_per_edge(); here
   /// it is measured off the live stream instead of sampled a priori.
   double vertices_per_edge = 2.0;
   double ewma_queue_depth = 0.0;  ///< submit-queue depth at batch completion
-  /// Sum / max of the per-stage EWMA means — the serial service time and
-  /// the pipeline bottleneck period of Eq. 18's software analogue.
-  [[nodiscard]] double total_ewma_s() const;
-  [[nodiscard]] double bottleneck_ewma_s() const;
+  /// Stage with the largest EWMA time (the pipeline bottleneck).
   [[nodiscard]] std::size_t bottleneck_stage() const;
   /// One-line summary ("stage ms p50/p95: ...") for bench banners.
   [[nodiscard]] std::string describe() const;
@@ -102,11 +88,9 @@ class StageProfiler {
   std::size_t ring_fill_ = 0;  ///< valid entries per ring (same for all)
   std::size_t ring_pos_ = 0;
   std::array<std::vector<double>, core::kNumStages> ring_;
-  std::vector<double> ring_edges_;  ///< batch sizes, aligned with ring_
   std::array<double, core::kNumStages> ewma_{};
   std::array<double, core::kNumStages> sum_{};
   double ewma_edges_ = 0.0;
-  double sum_edges_ = 0.0;
   double ewma_vpe_ = 2.0;
   double ewma_queue_ = 0.0;
 };

@@ -9,7 +9,6 @@
 #include <unordered_set>
 
 #include "kernels/quant.hpp"
-#include "perf/auto_tuner.hpp"
 #include "tgnn/serialize.hpp"
 #include "util/check.hpp"
 #include "util/fault_injector.hpp"
@@ -77,12 +76,8 @@ std::string ServingStats::describe() const {
     out += buf;
   }
   out += '\n';
-  std::snprintf(buf, sizeof buf,
-                "  knobs: max_batch %zu, max_wait %.2f ms, precision %s; "
-                "%zu retune step(s), %zu degrade step(s)\n",
-                max_batch, max_wait_s * 1e3,
-                kernels::precision_name(precision), retune_steps,
-                degrade_steps);
+  std::snprintf(buf, sizeof buf, "  precision %s, %zu degrade step(s)\n",
+                kernels::precision_name(precision), degrade_steps);
   out += buf;
   if (stage_profile.batches > 0) out += stage_profile.describe();
   return out;
@@ -120,9 +115,6 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
                              : nullptr),
       opts_(opts),
       workers_(resolve_workers(opts, concurrent_)),
-      base_max_wait_s_(opts.max_wait_s),
-      hw_threads_(std::max<std::size_t>(
-          1, std::thread::hardware_concurrency())),
       pool_(1 + (opts.pipelined ? core::kNumStages
                                 : (workers_ > 1 ? workers_ : 0))) {
   if (opts_.max_batch == 0)
@@ -142,20 +134,6 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
       !(opts_.degrade_low < opts_.degrade_high))
     throw std::invalid_argument(
         "ServingEngine: degrade_low must be < degrade_high");
-  if (opts_.autotune_online) {
-    if (opts_.retune_interval == 0)
-      throw std::invalid_argument(
-          "ServingEngine: retune_interval must be > 0");
-    if (opts_.retune_min_batch == 0 ||
-        opts_.retune_min_batch > opts_.retune_max_batch)
-      throw std::invalid_argument(
-          "ServingEngine: retune batch bounds must satisfy "
-          "0 < retune_min_batch <= retune_max_batch");
-    if (opts_.retune_margin < 1.0)
-      throw std::invalid_argument(
-          "ServingEngine: retune_margin must be >= 1 (a flip needs a "
-          "predicted gain, not a predicted tie)");
-  }
   std::size_t slots = workers_;
   if (opts_.pipelined) {
     if (staged_ == nullptr)
@@ -388,15 +366,14 @@ bool ServingEngine::next_batch(util::MutexLock& lk, SlotMeta& batch) {
     if (queue_.empty()) flush_ = false;  // forced flush fully served
     ++in_flight_;                        // formed => counted until completed
     peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
-    const bool degraded = maybe_degrade();
-    maybe_retune(degraded);
+    maybe_degrade();
     cv_state_.notify_all();  // queue space freed for blocked submitters
     return true;
   }
 }
 
-bool ServingEngine::maybe_degrade() {
-  if (ladder_.size() <= 1) return false;  // off, or backend cannot degrade
+void ServingEngine::maybe_degrade() {
+  if (ladder_.size() <= 1) return;  // off, or backend cannot degrade
   const double fill = static_cast<double>(queue_.size()) /
                       static_cast<double>(opts_.queue_capacity);
   if (fill >= opts_.degrade_high) {
@@ -415,7 +392,7 @@ bool ServingEngine::maybe_degrade() {
     target = degrade_level_ + 1;
   else if (clear_run_ >= opts_.degrade_patience && degrade_level_ > 0)
     target = degrade_level_ - 1;
-  if (target == degrade_level_) return false;
+  if (target == degrade_level_) return;
   // Precision flips require backend quiescence. The only point this
   // scheduler can guarantee it is right after batch formation when the
   // formed batch is the sole in-flight work (so nothing is executing) —
@@ -423,84 +400,17 @@ bool ServingEngine::maybe_degrade() {
   // lanes) otherwise. The flip happens under mu_: set_precision only
   // rebuilds the model's precision caches, takes no engine lock, and
   // holding mu_ keeps stats()'s precision read race-free.
-  if (in_flight_ != 1) return false;
+  if (in_flight_ != 1) return;
   pressure_run_ = 0;
   clear_run_ = 0;
   if (!backend_.set_precision(ladder_[target])) {
     ladder_.resize(1);  // backend refused: never try again
-    return false;
+    return;
   }
   if (target > degrade_level_) ++degrade_steps_;
   degrade_level_ = target;
   tuning_log_.push_back({batches_.size(), TuningEvent::Kind::kPrecision,
                          static_cast<std::size_t>(ladder_[target])});
-  return true;
-}
-
-void ServingEngine::maybe_retune(bool degrade_flipped) {
-  if (!opts_.autotune_online) return;
-  ++formations_since_retune_;
-  if (formations_since_retune_ < opts_.retune_interval) return;
-  // Compose with the degradation ladder instead of fighting it: never two
-  // knobs at one quiescent point, and a pressured ladder walk gets to act
-  // (or time out) before batches are resized under it.
-  if (degrade_flipped || pressure_run_ != 0) return;
-  // The same quiescent condition the precision flip requires: the batch
-  // just formed is the sole in-flight work. Resizing here means every
-  // batch — in any scheduler mode — still forms and executes in stream
-  // order against quiescent state, which is what keeps deterministic-mode
-  // results bit-identical to a serial replay of batch_log().
-  if (in_flight_ != 1) return;
-  const perf::StageProfile prof = profiler_.snapshot();
-  // Need at least half a window of fresh evidence, and a backend that
-  // reports stage times at all (modelled platforms may not).
-  if (prof.batches < opts_.retune_interval / 2 || prof.total_ewma_s() <= 0.0)
-    return;
-  formations_since_retune_ = 0;
-
-  perf::SoftwarePerfModel model(prof);
-  model.set_hardware_threads(hw_threads_);
-  model.set_num_nodes(backend_.dataset().graph.num_nodes());
-
-  perf::SwCandidate cand;
-  cand.workers = workers_;
-  cand.pipelined = opts_.pipelined;
-  cand.pipeline_depth = opts_.pipeline_depth;
-  cand.max_batch = opts_.max_batch;
-  const double current_rps = model.predict(cand).throughput_rps;
-  std::size_t best_batch = opts_.max_batch;
-  double best_rps = current_rps;
-  perf::SwPrediction best_pred;
-  for (std::size_t b = opts_.retune_min_batch;
-       b <= std::min(opts_.retune_max_batch, opts_.queue_capacity); b *= 2) {
-    cand.max_batch = b;
-    const perf::SwPrediction pred = model.predict(cand);
-    if (pred.throughput_rps > best_rps) {
-      best_rps = pred.throughput_rps;
-      best_batch = b;
-      best_pred = pred;
-    }
-  }
-  if (best_batch == opts_.max_batch ||
-      best_rps < opts_.retune_margin * current_rps)
-    return;
-  // Direction hysteresis: reversing the previous flip needs two full
-  // intervals of evidence — the no-flip-flop contract the tests pin.
-  const int dir = best_batch > opts_.max_batch ? 1 : -1;
-  if (dir == -last_retune_dir_ &&
-      batches_.size() - last_retune_batch_ < 2 * opts_.retune_interval)
-    return;
-  opts_.max_batch = best_batch;
-  // Re-derive the formation wait from the predicted service time (holding
-  // a batch open much longer than it takes to serve one buys nothing),
-  // bounded to one order of magnitude around the configured wait.
-  opts_.max_wait_s = std::clamp(best_pred.batch_s, base_max_wait_s_ / 8.0,
-                                base_max_wait_s_ * 8.0);
-  ++retune_steps_;
-  last_retune_dir_ = dir;
-  last_retune_batch_ = batches_.size();
-  tuning_log_.push_back(
-      {batches_.size(), TuningEvent::Kind::kMaxBatch, best_batch});
 }
 
 bool ServingEngine::run_with_retries(const std::function<void()>& op) {
@@ -539,7 +449,7 @@ void ServingEngine::scheduler_loop() {
   for (;;) {
     // Slot first, then formation: with one slot the previous batch has
     // retired before the next one forms, so every serial formation is a
-    // quiescent point for maybe_degrade / maybe_retune.
+    // quiescent point for maybe_degrade.
     while (free_slots_.empty()) cv_state_.wait(lk);
     if (!next_batch(lk, next)) break;
 
@@ -767,11 +677,6 @@ ServingStats ServingEngine::stats() const {
   s.num_failed = failed_;
   s.degrade_steps = degrade_steps_;
   s.fault_retries = fault_retries_;
-  s.retune_steps = retune_steps_;
-  // Live knob values: under online autotune these move at quiescent
-  // points, and this read (under mu_) is how callers observe them.
-  s.max_batch = opts_.max_batch;
-  s.max_wait_s = opts_.max_wait_s;
   s.stage_profile = profiler_.snapshot();
   for (std::size_t k = 0; k < core::kNumStages; ++k) {
     s.p50_stage_s[k] = percentile_of(stage_samples_[k], 0.50);

@@ -61,7 +61,8 @@
 // numeric mode down one rung (fp32 -> bf16 -> int8, via
 // Backend::set_precision at a quiescent point), and steps back up when
 // the queue stays below `degrade_low` — trading accuracy for throughput
-// exactly along the quantization ladder of the inference path.
+// exactly along the quantization ladder of the inference path. Flips are
+// journaled in tuning_log().
 //
 // Faults: every batch execution runs under a retry envelope. A transient
 // util::InjectedFault is retried up to `fault_retries` times with
@@ -75,21 +76,7 @@
 // Every completed batch also feeds a low-overhead per-stage profiler
 // (perf::StageProfiler — EWMA + windowed percentiles over the four
 // core::Stage times, gather fan-out, queue depth), exposed via
-// ServingStats::stage_profile and the per-stage percentile fields. With
-// `autotune_online` set the engine additionally retunes itself from that
-// live profile: every `retune_interval` batch formations it asks the
-// calibrated SoftwarePerfModel (perf/auto_tuner.hpp) whether a different
-// max_batch would beat the current one by at least `retune_margin`, and
-// if so flips max_batch (and max_wait_s, re-derived from the predicted
-// batch service time) at the SAME quiescent point the precision ladder
-// uses — the batch just formed is the sole in-flight work. One knob per
-// quiescent point: a formation that stepped the precision ladder (or sits
-// mid-pressure-walk) never also resizes batches, and reversing the
-// previous resize direction needs two full intervals of evidence — the
-// no-flip-flop contract. In deterministic mode the flips stay
-// bit-identity-safe: batch boundaries move, but every batch still executes
-// in stream order against quiescent state. Flips are journaled in
-// tuning_log() for benches and tests.
+// ServingStats::stage_profile and the per-stage percentile fields.
 //
 // Per-request latency = queueing wait (measured) + batch service latency
 // (the backend's measured or modelled latency_s), so percentiles are
@@ -159,15 +146,6 @@ struct ServingOptions {
   // ---- Fault handling -------------------------------------------------
   std::size_t fault_retries = 3;   ///< transient-fault retries per batch
   double retry_backoff_s = 1e-4;   ///< backoff base (doubles per attempt)
-
-  // ---- Online auto-tuning (see file comment) --------------------------
-  bool autotune_online = false;  ///< retune max_batch / max_wait_s at
-                                 ///< quiescent points from the live profile
-  std::size_t retune_interval = 32;  ///< batch formations between retune
-                                     ///< evaluations (the hysteresis window)
-  double retune_margin = 1.2;  ///< min predicted throughput gain to flip
-  std::size_t retune_min_batch = 8;     ///< bounds of the online batch search
-  std::size_t retune_max_batch = 1024;
 };
 
 struct ServingStats {
@@ -219,25 +197,20 @@ struct ServingStats {
   /// perf/stage_profile.hpp for the convention).
   std::array<double, core::kNumStages> p50_stage_s{};
   std::array<double, core::kNumStages> p95_stage_s{};
-  /// The live profile the online tuner reads (EWMA means, windowed
-  /// percentiles, fan-out, queue depth).
+  /// The live stage profile (EWMA means, windowed percentiles, fan-out,
+  /// queue depth).
   perf::StageProfile stage_profile;
-  std::size_t retune_steps = 0;  ///< online max_batch flips taken so far
-  std::size_t max_batch = 0;     ///< live knob values (these move under
-  double max_wait_s = 0.0;       ///< online autotune)
   /// Multi-line human-readable summary: throughput, latency percentiles,
-  /// per-stage breakdown, tuner/degradation state.
+  /// per-stage breakdown, degradation state.
   [[nodiscard]] std::string describe() const;
 };
 
-/// One online knob flip (precision ladder or batch retune), journaled in
-/// ServingEngine::tuning_log(). Tests assert event spacing — the
-/// no-flip-flop hysteresis contract; benches print the trajectory.
+/// One precision-ladder flip, journaled in ServingEngine::tuning_log().
 struct TuningEvent {
-  enum class Kind : std::uint8_t { kPrecision = 0, kMaxBatch = 1 };
+  enum class Kind : std::uint8_t { kPrecision = 0 };
   std::size_t at_batch = 0;  ///< batches dispatched when the flip happened
-  Kind kind = Kind::kMaxBatch;
-  std::size_t value = 0;  ///< new max_batch, or the kernels::Precision value
+  Kind kind = Kind::kPrecision;
+  std::size_t value = 0;  ///< the new kernels::Precision value
 };
 
 /// One request's terminal disposition, in resolution order (the order
@@ -320,7 +293,7 @@ class ServingEngine {
   /// Terminal disposition of every resolved request, in resolution order.
   [[nodiscard]] std::vector<OutcomeRecord> outcome_log() const
       TGNN_EXCLUDES(mu_);
-  /// Online knob flips (precision / max_batch), in the order taken.
+  /// Precision-ladder flips, in the order taken.
   [[nodiscard]] std::vector<TuningEvent> tuning_log() const
       TGNN_EXCLUDES(mu_);
   /// Message of the most recent permanent batch failure ("" when none).
@@ -400,16 +373,8 @@ class ServingEngine {
   void expire_stale_locked() TGNN_REQUIRES(mu_);
   /// Degradation hysteresis, evaluated at each batch formation; steps the
   /// backend's precision only at a quiescent point (the batch just formed
-  /// is the sole in-flight work and nothing is dispatched). Returns true
-  /// when a precision flip was taken — the retune pass then yields this
-  /// quiescent point (one knob per flip).
-  bool maybe_degrade() TGNN_REQUIRES(mu_);
-  /// Online retune, evaluated after maybe_degrade at each batch formation:
-  /// every retune_interval formations, at the same quiescent condition,
-  /// flip max_batch/max_wait_s when the profile-calibrated model predicts
-  /// >= retune_margin throughput gain (see file comment for the
-  /// composition and hysteresis rules).
-  void maybe_retune(bool degrade_flipped) TGNN_REQUIRES(mu_);
+  /// is the sole in-flight work and nothing is dispatched).
+  void maybe_degrade() TGNN_REQUIRES(mu_);
   /// Runs `op` under the transient-fault retry envelope (fault_retries,
   /// exponential backoff). False on permanent failure; last_error_ set.
   bool run_with_retries(const std::function<void()>& op) TGNN_EXCLUDES(mu_);
@@ -425,7 +390,7 @@ class ServingEngine {
                                              ///< lanes use it when > 1
   StagedBackend* staged_ = nullptr;  ///< set when opts.pipelined: slots
                                      ///< run the staged executor
-  ServingOptions opts_;
+  const ServingOptions opts_;
   std::size_t workers_ = 1;
   bool track_reads_ = false;  ///< read-footprint admission on (deterministic
                               ///< with > 1 slot, or a staged backend
@@ -463,28 +428,20 @@ class ServingEngine {
   std::size_t fault_retries_ TGNN_GUARDED_BY(mu_) = 0;
   std::string last_error_ TGNN_GUARDED_BY(mu_);
 
-  // Stage profiling + online retune state. The profiler is fed under mu_
-  // by retire; tuning_log_ journals both knob families.
+  // Stage profiling, fed under mu_ by retire.
   perf::StageProfiler profiler_ TGNN_GUARDED_BY(mu_);
   std::array<std::vector<double>, core::kNumStages> stage_samples_
       TGNN_GUARDED_BY(mu_);
-  std::vector<TuningEvent> tuning_log_ TGNN_GUARDED_BY(mu_);
-  std::size_t retune_steps_ TGNN_GUARDED_BY(mu_) = 0;
-  std::size_t formations_since_retune_ TGNN_GUARDED_BY(mu_) = 0;
-  std::size_t last_retune_batch_ TGNN_GUARDED_BY(mu_) = 0;
-  int last_retune_dir_ TGNN_GUARDED_BY(mu_) = 0;  ///< +1 grew, -1 shrank
-  double base_max_wait_s_;    ///< ctor-time max_wait_s (retune drift anchor);
-                              ///< immutable after construction
-  std::size_t hw_threads_;    ///< cores the retune model caps parallelism at
 
   // Degradation ladder (built from the backend's base precision at
-  // construction; shrunk to one rung when the backend refuses the flip)
-  // and the hysteresis run counters.
+  // construction; shrunk to one rung when the backend refuses the flip),
+  // the hysteresis run counters, and the journal of flips taken.
   std::vector<kernels::Precision> ladder_ TGNN_GUARDED_BY(mu_);
   std::size_t degrade_level_ TGNN_GUARDED_BY(mu_) = 0;
   std::size_t degrade_steps_ TGNN_GUARDED_BY(mu_) = 0;
   std::size_t pressure_run_ TGNN_GUARDED_BY(mu_) = 0;
   std::size_t clear_run_ TGNN_GUARDED_BY(mu_) = 0;
+  std::vector<TuningEvent> tuning_log_ TGNN_GUARDED_BY(mu_);
 
   // Conflict ledger (incremented at acquire, decremented at retire):
   // write = batch endpoints; full = endpoints + tracked neighbor reads.

@@ -1,13 +1,15 @@
 // AutoTuner: the candidate space is gated by the backend's contracts,
 // options_for realizes candidates into engine-ready ServingOptions, and
-// search() runs the full DSE loop — calibrate, rank by prediction,
-// validate the top-K on real traffic, return the measured-best — while
-// consuming exactly the stream prefix it accounts for in next_index.
+// search() runs successive halving — every candidate measured in round 0,
+// the better half kept each round, the measured-best of the final round
+// returned — while consuming exactly the stream prefix it accounts for in
+// next_index.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "perf/auto_tuner.hpp"
@@ -117,65 +119,90 @@ TEST(AutoTuner, OptionsRealizeCandidate) {
   EXPECT_EQ(tuner.options_for(c).workers, 4u);
 }
 
+/// Serial batches {16, 32, 64} plus pipelined depths {2, 4} on "cpu":
+/// 9 candidates, halved 9 -> 4 -> 2 -> 1 over three rounds.
+AutoTunerOptions nine_candidates(std::size_t budget) {
+  AutoTunerOptions topts;
+  topts.budget_events = budget;
+  topts.batch_grid = {16, 32, 64};
+  topts.worker_grid = {};
+  topts.depth_grid = {2, 4};
+  return topts;
+}
+
 TEST(AutoTuner, SearchReturnsMeasuredBestAndAccountsForTheStream) {
   const auto ds = tuner_ds();
   const auto model = tuner_model(ds);
   auto backend = runtime::make_backend("cpu", model, ds);
+  constexpr std::size_t kStart = 200;
+  backend->warmup({0, kStart});  // the search resumes the stream here
+  AutoTuner tuner(*backend, nine_candidates(900));
+  ASSERT_EQ(tuner.candidates().size(), 9u);
 
-  AutoTunerOptions topts;
-  topts.calib_events = 320;
-  topts.calib_batch_lo = 16;
-  topts.calib_batch_hi = 64;
-  topts.batch_grid = {16, 64, 256};
-  topts.worker_grid = {};
-  topts.depth_grid = {};  // serial-only space: 3 candidates
-  topts.validate_top_k = 2;
-  topts.validate_events = 256;
-  AutoTuner tuner(*backend, topts);
-
-  const auto r = tuner.search(0);
-  // Stream accounting: 2 calibration runs + 2 validation runs consumed.
-  EXPECT_EQ(r.next_index, 2 * 320u + 2 * 256u);
-  EXPECT_EQ(r.ranked.size(), 3u);
-  // Ranked best-first by prediction, and predictions are real numbers.
-  for (std::size_t i = 1; i < r.ranked.size(); ++i)
-    EXPECT_GE(r.ranked[i - 1].predicted.throughput_rps,
-              r.ranked[i].predicted.throughput_rps);
-  // Exactly the top-K carry measurements, and the chosen candidate is the
-  // measured-best among them (the measurement overrules the model).
-  EXPECT_GT(r.ranked[0].measured_rps, 0.0);
-  EXPECT_GT(r.ranked[1].measured_rps, 0.0);
-  EXPECT_EQ(r.ranked[2].measured_rps, 0.0);
-  const double winner =
-      std::max(r.ranked[0].measured_rps, r.ranked[1].measured_rps);
-  const bool chose_0 = r.chosen.max_batch == r.ranked[0].candidate.max_batch;
-  EXPECT_EQ(r.ranked[chose_0 ? 0 : 1].measured_rps, winner);
-  // The returned options realize the chosen candidate.
+  const auto r = tuner.search(kStart);
+  // Three rounds of 900 / 3 = 300 events, each split evenly among the
+  // survivors: 9 x 33, then 4 x 75, then 2 x 150.
+  EXPECT_EQ(r.next_index, kStart + 9 * 33 + 4 * 75 + 2 * 150);
+  ASSERT_EQ(r.ranked.size(), 9u);
+  // The final round served two candidates; the winner is the faster one,
+  // ranked first, and the returned options realize it.
+  EXPECT_GE(r.ranked[0].measured_rps, r.ranked[1].measured_rps);
+  EXPECT_EQ(r.chosen.describe(), r.ranked[0].candidate.describe());
   EXPECT_EQ(r.options.max_batch, r.chosen.max_batch);
-  EXPECT_FALSE(r.options.pipelined);
-  EXPECT_GT(r.profile.batches, 0u);
+  EXPECT_EQ(r.options.pipelined, r.chosen.pipelined);
+  EXPECT_EQ(r.options.pipeline_depth, r.chosen.pipeline_depth);
   EXPECT_FALSE(r.describe().empty());
 }
 
-TEST(AutoTuner, SearchWithoutValidationTrustsTheModel) {
+TEST(AutoTuner, SearchMeasuresEveryCandidateInRoundZero) {
   const auto ds = tuner_ds();
   const auto model = tuner_model(ds);
   auto backend = runtime::make_backend("cpu", model, ds);
-
-  AutoTunerOptions topts;
-  topts.calib_events = 256;
-  topts.batch_grid = {32, 128};
-  topts.worker_grid = {};
-  topts.depth_grid = {};
-  topts.validate_top_k = 0;
-  AutoTuner tuner(*backend, topts);
+  AutoTuner tuner(*backend, nine_candidates(900));
 
   const auto r = tuner.search(0);
-  EXPECT_EQ(r.next_index, 2 * 256u);  // no validation traffic
-  ASSERT_FALSE(r.ranked.empty());
-  // With no measurement, the model's top prediction wins outright.
+  // Every admitted candidate appears exactly once and carries a real
+  // measurement: none is ruled out before it has served traffic.
+  std::multiset<std::string> admitted, ranked;
+  for (const auto& c : tuner.candidates()) admitted.insert(c.describe());
+  for (const auto& rc : r.ranked) {
+    ranked.insert(rc.candidate.describe());
+    EXPECT_GT(rc.measured_rps, 0.0) << rc.candidate.describe();
+  }
+  EXPECT_EQ(ranked, admitted);
+  // Round-0 losers (the last five) are ordered by their measurement.
+  for (std::size_t i = 4; i + 1 < r.ranked.size(); ++i)
+    EXPECT_GE(r.ranked[i].measured_rps, r.ranked[i + 1].measured_rps);
+}
+
+TEST(AutoTuner, SearchOnApanReturnsAMeasuredWinner) {
+  // apan reports no stage times; measurement needs none.
+  const auto ds = tuner_ds();
+  const auto model = tuner_model(ds);
+  auto backend = runtime::make_backend("apan", model, ds);
+  AutoTunerOptions topts;
+  topts.budget_events = 400;
+  topts.batch_grid = {16, 64};
+  AutoTuner tuner(*backend, topts);
+  ASSERT_EQ(tuner.candidates().size(), 2u);  // serial only
+
+  const auto r = tuner.search(0);
+  EXPECT_EQ(r.next_index, 400u);  // one round, 2 x 200
+  ASSERT_EQ(r.ranked.size(), 2u);
+  EXPECT_GT(r.ranked[0].measured_rps, 0.0);
+  EXPECT_GE(r.ranked[0].measured_rps, r.ranked[1].measured_rps);
   EXPECT_EQ(r.chosen.max_batch, r.ranked[0].candidate.max_batch);
   EXPECT_EQ(r.options.max_batch, r.chosen.max_batch);
+}
+
+TEST(AutoTuner, SearchWithNoAdmittedCandidateThrows) {
+  const auto ds = tuner_ds();
+  const auto model = tuner_model(ds);
+  auto backend = runtime::make_backend("cpu", model, ds);
+  AutoTunerOptions topts;
+  topts.batch_grid = {};
+  AutoTuner tuner(*backend, topts);
+  EXPECT_THROW((void)tuner.search(0), std::invalid_argument);
 }
 
 }  // namespace

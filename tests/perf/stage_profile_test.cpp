@@ -1,7 +1,5 @@
-// StageProfiler: EWMA/mean accumulation, windowed percentiles, the affine
-// t(B) = fixed + per_edge * B fit (with its through-origin fallback when
-// the window has no batch-size variance), bottleneck identification, and
-// reset semantics.
+// StageProfiler: EWMA/mean accumulation, windowed percentiles, bottleneck
+// identification, and reset semantics.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,8 +16,7 @@ TEST(StageProfile, EmptyProfileIsInert) {
   StageProfiler prof;
   const auto p = prof.snapshot();
   EXPECT_EQ(p.batches, 0u);
-  EXPECT_EQ(p.total_ewma_s(), 0.0);
-  EXPECT_EQ(p.bottleneck_ewma_s(), 0.0);
+  EXPECT_EQ(p.bottleneck_stage(), 0u);
   for (const auto& s : p.stages) {
     EXPECT_EQ(s.ewma_s, 0.0);
     EXPECT_EQ(s.p95_s, 0.0);
@@ -27,9 +24,7 @@ TEST(StageProfile, EmptyProfileIsInert) {
 }
 
 TEST(StageProfile, ConstantSamplesConvergeEverywhere) {
-  // Identical batches: EWMA == mean == p50 == p95 per stage, and the fit
-  // has no size variance to exploit — through-origin fallback, so
-  // fixed == 0 and per_edge * edges reproduces the stage time.
+  // Identical batches: EWMA == mean == p50 == p95 per stage.
   StageProfiler prof(0.2, 32);
   const Stages t{1e-3, 2e-3, 4e-3, 0.5e-3};
   for (int i = 0; i < 64; ++i) prof.record(t, 50, 80, 3);
@@ -40,51 +35,12 @@ TEST(StageProfile, ConstantSamplesConvergeEverywhere) {
     EXPECT_NEAR(p.stages[k].mean_s, t[k], 1e-12);
     EXPECT_NEAR(p.stages[k].p50_s, t[k], 1e-12);
     EXPECT_NEAR(p.stages[k].p95_s, t[k], 1e-12);
-    EXPECT_EQ(p.stages[k].fixed_s, 0.0);
-    EXPECT_NEAR(p.stages[k].per_edge_s * 50.0, t[k], 1e-12);
   }
-  EXPECT_NEAR(p.mean_batch_edges, 50.0, 1e-9);
   EXPECT_NEAR(p.ewma_batch_edges, 50.0, 1e-9);
   EXPECT_NEAR(p.vertices_per_edge, 80.0 / 50.0, 1e-9);
   EXPECT_NEAR(p.ewma_queue_depth, 3.0, 1e-9);
-  EXPECT_NEAR(p.total_ewma_s(), 7.5e-3, 1e-12);
-  EXPECT_NEAR(p.bottleneck_ewma_s(), 4e-3, 1e-12);
   EXPECT_EQ(p.bottleneck_stage(), 2u);  // GnnCompute
   EXPECT_FALSE(p.describe().empty());
-}
-
-TEST(StageProfile, AffineFitRecoversFixedAndPerEdgeCost) {
-  // Batches alternating between two sizes with a known affine law: the
-  // least-squares fit must recover both coefficients.
-  StageProfiler prof(0.2, 64);
-  const double fixed = 2e-4, per_edge = 3e-6;
-  for (int i = 0; i < 40; ++i) {
-    const std::size_t edges = (i % 2 == 0) ? 20 : 120;
-    Stages t{};
-    t[0] = fixed + per_edge * static_cast<double>(edges);
-    prof.record(t, edges, 2 * edges, 0);
-  }
-  const auto p = prof.snapshot();
-  EXPECT_NEAR(p.stages[0].fixed_s, fixed, 1e-9);
-  EXPECT_NEAR(p.stages[0].per_edge_s, per_edge, 1e-11);
-}
-
-TEST(StageProfile, NegativeFitFallsBackToThroughOrigin) {
-  // A decreasing cost-vs-size relation (bigger batches cheaper per batch —
-  // measurement noise, cache effects) would extrapolate to negative stage
-  // times; the fit must refuse it and keep t(B) = m/E * B instead.
-  StageProfiler prof(0.2, 64);
-  for (int i = 0; i < 40; ++i) {
-    const std::size_t edges = (i % 2 == 0) ? 20 : 120;
-    Stages t{};
-    t[0] = (edges == 20) ? 4e-3 : 1e-3;  // negative slope
-    prof.record(t, edges, 2 * edges, 0);
-  }
-  const auto p = prof.snapshot();
-  EXPECT_EQ(p.stages[0].fixed_s, 0.0);
-  EXPECT_GT(p.stages[0].per_edge_s, 0.0);
-  // Through-origin slope: mean(t)/mean(E) over the window.
-  EXPECT_NEAR(p.stages[0].per_edge_s, 2.5e-3 / 70.0, 1e-6);
 }
 
 TEST(StageProfile, PercentilesTrackTheRecentWindowOnly) {
@@ -123,8 +79,12 @@ TEST(StageProfile, ResetClearsEverything) {
   EXPECT_EQ(prof.batches(), 0u);
   const auto p = prof.snapshot();
   EXPECT_EQ(p.batches, 0u);
-  EXPECT_EQ(p.total_ewma_s(), 0.0);
-  EXPECT_EQ(p.stages[0].p95_s, 0.0);
+  EXPECT_EQ(p.ewma_batch_edges, 0.0);
+  for (const auto& s : p.stages) {
+    EXPECT_EQ(s.ewma_s, 0.0);
+    EXPECT_EQ(s.mean_s, 0.0);
+    EXPECT_EQ(s.p95_s, 0.0);
+  }
 }
 
 TEST(StageProfile, StageNamesMatchCoreOrder) {

@@ -268,7 +268,23 @@ TEST(Admission, DegradesUnderSustainedOverloadAndRecovers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   server.drain();
-  EXPECT_EQ(server.stats().precision, kernels::Precision::kFp32);
+  const auto recovered = server.stats();
+  EXPECT_EQ(recovered.precision, kernels::Precision::kFp32);
+
+  // The journal holds one kPrecision event per flip. Each flip moves one
+  // rung, and the walk starts and ends at fp32, so there are as many flips
+  // up as down (degrade_steps), and the last lands back on fp32.
+  const auto log = server.tuning_log();
+  ASSERT_FALSE(log.empty());
+  ASSERT_EQ(log.size(), 2 * recovered.degrade_steps);
+  auto prev = static_cast<std::size_t>(kernels::Precision::kFp32);
+  for (const TuningEvent& e : log) {
+    EXPECT_EQ(e.kind, TuningEvent::Kind::kPrecision);
+    EXPECT_NE(e.value, prev);  // every event is a real flip
+    prev = e.value;
+  }
+  EXPECT_EQ(log.back().value,
+            static_cast<std::size_t>(kernels::Precision::kFp32));
 }
 
 TEST(Admission, BlockPolicyReportsNoOverloadCounters) {
