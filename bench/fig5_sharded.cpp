@@ -10,13 +10,9 @@
 // footprint conflicts only. Rows cover both conflict policies:
 //   * relaxed       — write footprints disjoint (bounded-staleness reads)
 //   * deterministic — read footprints tracked too; bit-identical to "cpu"
-// plus, with --pipelined (default on), the staged dataflow pipeline: one
-// row per policy where the four engine stages of adjacent micro-batches
-// overlap on stage workers instead of whole batches on lanes.
-// --require_pipelined_speedup gates the relaxed pipelined row's speedup
-// over the serial single-worker baseline (report-only on one core — stage
-// overlap needs real parallel hardware, same convention as the kernel
-// sweep's batched-GRU gate).
+// The footer reports the relaxed 4-worker row's speedup over the serial
+// single-worker row — the executor's reason to exist. It is report-only:
+// on a 4-vCPU host it has not yet cleared 1.5x in every run.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -40,12 +36,6 @@ int main(int argc, char** argv) {
   args.add_flag("items", "20000", "synthetic items");
   args.add_flag("events", "8000", "serving requests per configuration");
   args.add_flag("shards", "4,64", "comma-separated shard counts to sweep");
-  args.add_flag("pipelined", "1", "also sweep the staged pipeline mode");
-  args.add_flag("pipeline_depth", "4", "in-flight batches (StageContext "
-                                       "slots) in pipelined mode");
-  args.add_flag("require_pipelined_speedup", "0",
-                "fail unless pipelined relaxed >= this x serial 1-worker "
-                "throughput (0 = report only; always report-only on 1 core)");
   if (!args.parse(argc, argv)) return 1;
   const auto common = bench::read_common_flags(args, defaults);
 
@@ -96,25 +86,17 @@ int main(int argc, char** argv) {
            "peak overlap", "in-flight", "p50 (ms)", "p95 (ms)",
            "p50 queue (ms)", "p50 service (ms)", "botlnk p95 (ms)"});
 
-  const bool sweep_pipelined = args.get_int("pipelined") != 0;
-  const auto depth =
-      static_cast<std::size_t>(args.get_int("pipeline_depth"));
-  const double require_speedup =
-      std::stod(args.get("require_pipelined_speedup"));
-  double best_pipelined_speedup = 0.0;
+  constexpr std::size_t kReportWorkers = 4;
+  double best_report_speedup = 0.0;  ///< relaxed kReportWorkers rows
+  bool have_report_row = false;
 
   for (const auto& shard_str : bench::split_csv(args.get("shards"))) {
     const auto shards = static_cast<std::size_t>(std::stoull(shard_str));
     for (const bool deterministic : {false, true}) {
+      // "speedup" is relative to the single-worker row of this
+      // (shards, policy) block.
       double base_rps = 0.0;
-      // Worker-lane sweep, then (optionally) one staged-pipeline run per
-      // policy: same backend, same stream — workers column shows the
-      // pipeline depth there, and "speedup" stays relative to the serial
-      // single-worker row of this (shards, policy) block.
-      std::vector<std::pair<std::size_t, bool>> runs;
-      for (std::size_t workers : worker_counts) runs.push_back({workers, false});
-      if (sweep_pipelined) runs.push_back({depth, true});
-      for (const auto& [lanes, pipelined] : runs) {
+      for (const std::size_t lanes : worker_counts) {
         runtime::BackendOptions bopts;
         bopts.threads = static_cast<int>(max_workers);
         bopts.shards = shards;
@@ -126,21 +108,19 @@ int main(int argc, char** argv) {
         runtime::ServingOptions sopts;
         sopts.max_batch = common.batch;
         sopts.max_wait_s = 1e-3;
-        sopts.workers = pipelined ? 1 : lanes;
-        sopts.pipelined = pipelined;
-        sopts.pipeline_depth = depth;
+        sopts.workers = lanes;
         sopts.deterministic = deterministic;
         const auto s =
             bench::serve_stream(*backend, region.begin, events, sopts).stats;
-        if (!pipelined && lanes == 1) base_rps = s.throughput_rps;
+        if (lanes == 1) base_rps = s.throughput_rps;
         const double speedup =
             base_rps > 0.0 ? s.throughput_rps / base_rps : 1.0;
-        if (pipelined && !deterministic)
-          best_pipelined_speedup = std::max(best_pipelined_speedup, speedup);
-        const std::string mode =
-            pipelined ? (deterministic ? "pipelined-det" : "pipelined")
-                      : (deterministic ? "deterministic" : "relaxed");
-        t.add_row({shard_str, std::to_string(lanes), mode,
+        if (!deterministic && lanes == kReportWorkers) {
+          best_report_speedup = std::max(best_report_speedup, speedup);
+          have_report_row = true;
+        }
+        t.add_row({shard_str, std::to_string(lanes),
+                   deterministic ? "deterministic" : "relaxed",
                    Table::num(s.throughput_rps / 1e3, 2),
                    Table::num(speedup, 2) + "x",
                    std::to_string(s.peak_parallel_batches),
@@ -185,10 +165,8 @@ int main(int argc, char** argv) {
         bench::serve_stream(*backend, region.begin, events, tuned.options)
             .stats;
     t.add_row({std::to_string(first_shards),
-               std::to_string(tuned.options.pipelined
-                                  ? tuned.options.pipeline_depth
-                                  : tuned.options.workers),
-               "auto-tuned", Table::num(s.throughput_rps / 1e3, 2), "-",
+               std::to_string(tuned.options.workers), "auto-tuned",
+               Table::num(s.throughput_rps / 1e3, 2), "-",
                std::to_string(s.peak_parallel_batches),
                std::to_string(s.peak_in_flight_batches),
                Table::num(s.p50_latency_s * 1e3, 2),
@@ -200,22 +178,9 @@ int main(int argc, char** argv) {
   t.print(std::cout, "sharded-cpu serving sweep");
   t.write_csv("fig5_sharded.csv");
 
-  if (sweep_pipelined) {
-    std::printf("\nbest pipelined (relaxed) speedup vs serial 1-worker: "
-                "%.2fx\n", best_pipelined_speedup);
-    if (require_speedup > 0.0) {
-      if (hw <= 1) {
-        std::printf("single hardware thread: stage overlap cannot buy wall "
-                    "time; %.2fx gate is report-only here\n", require_speedup);
-      } else if (best_pipelined_speedup < require_speedup) {
-        std::printf("FAIL: pipelined speedup %.2fx < required %.2fx\n",
-                    best_pipelined_speedup, require_speedup);
-        return 1;
-      } else {
-        std::printf("gate passed: %.2fx >= %.2fx\n", best_pipelined_speedup,
-                    require_speedup);
-      }
-    }
-  }
+  if (have_report_row)
+    std::printf("\nrelaxed %zu-worker speedup vs serial 1-worker: %.2fx "
+                "(%zu hardware thread(s))\n",
+                kReportWorkers, best_report_speedup, hw);
   return 0;
 }

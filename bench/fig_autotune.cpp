@@ -5,18 +5,20 @@
 // For each (skew, backend) combination the AutoTuner runs its
 // successive-halving search on a throwaway backend — every admitted
 // candidate served in round 0, the measured-better half kept each round
-// until one is left — and the winning ServingOptions is then measured on
-// a FRESH backend over exactly the stream slice two hand-coded defaults
-// are measured on:
+// until one is left — and the winning ServingOptions is then measured
+// over exactly the stream slice two hand-coded defaults are measured on.
+// Each row is the median-throughput run of kTrials serves, each on a
+// FRESH backend (one serve of a few thousand events swings by tens of
+// percent run to run, which would make the comparison row-to-row noise):
 //
 //   * "default"      — ServingOptions{} (batch 256, 2 ms wait, serial),
 //   * "fig5-default" — the serving sweeps' hard-coded row (batch 32,
 //                      1 ms wait, serial).
 //
-// --require_tuned_speedup gates tuned throughput >= factor x the BEST
-// default on every combination (report-only on a single hardware thread —
-// parallel candidates need real cores, the same convention as the other
-// perf gates).
+// --require_tuned_speedup gates the tuned row's median throughput >=
+// factor x the BEST default's median on every combination (report-only
+// on a single hardware thread — parallel candidates need real cores, the
+// same convention as the other perf gates).
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -33,15 +35,17 @@ using namespace tgnn;
 
 namespace {
 
+/// Fresh-backend serves per configuration row; the row reports the
+/// median-throughput run. Odd, so the median is one real run.
+constexpr std::size_t kTrials = 5;
+
 struct Row {
   double zipf = 0.0;
   std::string backend;
   std::string config;  ///< "default" | "fig5-default" | "tuned"
   std::size_t max_batch = 0;
   std::size_t workers = 1;
-  bool pipelined = false;
-  std::size_t pipeline_depth = 0;
-  double thpt_rps = 0.0;
+  double thpt_rps = 0.0;  ///< median over kTrials serves
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   std::string bottleneck;
@@ -64,12 +68,11 @@ void write_json(const std::string& path, std::size_t hw, bool gates_enforced,
     std::fprintf(
         f,
         "    {\"zipf\": %.2f, \"backend\": \"%s\", \"config\": \"%s\", "
-        "\"max_batch\": %zu, \"workers\": %zu, \"pipelined\": %s, "
-        "\"pipeline_depth\": %zu, \"thpt_rps\": %.1f, \"p50_ms\": %.3f, "
-        "\"p95_ms\": %.3f, \"bottleneck\": \"%s\"}%s\n",
+        "\"max_batch\": %zu, \"workers\": %zu, \"trials\": %zu, "
+        "\"thpt_rps\": %.1f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
+        "\"bottleneck\": \"%s\"}%s\n",
         r.zipf, r.backend.c_str(), r.config.c_str(), r.max_batch, r.workers,
-        r.pipelined ? "true" : "false", r.pipeline_depth, r.thpt_rps,
-        r.p50_ms, r.p95_ms, r.bottleneck.c_str(),
+        kTrials, r.thpt_rps, r.p50_ms, r.p95_ms, r.bottleneck.c_str(),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -87,7 +90,9 @@ int main(int argc, char** argv) {
   bench::add_common_flags(args, defaults);
   args.add_flag("users", "8000", "synthetic users");
   args.add_flag("items", "4000", "synthetic items");
-  args.add_flag("events", "2500", "measured requests per configuration row");
+  args.add_flag("events", "2500",
+                "requests per serve (each row is the median of " +
+                    std::to_string(kTrials) + " serves)");
   args.add_flag("skews", "0.0,1.1", "comma-separated user Zipf exponents");
   args.add_flag("backends", "cpu,sharded-cpu",
                 "comma-separated backend flavors to tune "
@@ -161,19 +166,26 @@ int main(int argc, char** argv) {
       double best_default = 0.0;
       double tuned_rps = 0.0;
       for (const auto& cfg : configs) {
-        auto backend = runtime::make_backend(key, model, ds, bopts);
-        runtime::fast_forward(*backend, region.begin);
-        const auto s =
-            bench::serve_stream(*backend, region.begin, events, cfg.sopts)
-                .stats;
+        std::vector<runtime::ServingStats> trials;
+        for (std::size_t k = 0; k < kTrials; ++k) {
+          auto backend = runtime::make_backend(key, model, ds, bopts);
+          runtime::fast_forward(*backend, region.begin);
+          trials.push_back(
+              bench::serve_stream(*backend, region.begin, events, cfg.sopts)
+                  .stats);
+        }
+        // kTrials is odd: the middle run by throughput is the median.
+        std::nth_element(trials.begin(), trials.begin() + kTrials / 2,
+                         trials.end(), [](const auto& a, const auto& b) {
+                           return a.throughput_rps < b.throughput_rps;
+                         });
+        const runtime::ServingStats& s = trials[kTrials / 2];
         Row r;
         r.zipf = zipf;
         r.backend = key;
         r.config = cfg.label;
         r.max_batch = cfg.sopts.max_batch;
         r.workers = cfg.sopts.workers;
-        r.pipelined = cfg.sopts.pipelined;
-        r.pipeline_depth = cfg.sopts.pipeline_depth;
         r.thpt_rps = s.throughput_rps;
         r.p50_ms = s.p50_latency_s * 1e3;
         r.p95_ms = s.p95_latency_s * 1e3;
@@ -184,11 +196,9 @@ int main(int argc, char** argv) {
           best_default = std::max(best_default, r.thpt_rps);
         }
         const std::string mode =
-            cfg.sopts.pipelined
-                ? "pipelined/" + std::to_string(cfg.sopts.pipeline_depth)
-                : (cfg.sopts.workers > 1
-                       ? std::to_string(cfg.sopts.workers) + " workers"
-                       : "serial");
+            cfg.sopts.workers > 1
+                ? std::to_string(cfg.sopts.workers) + " workers"
+                : "serial";
         rows.push_back(r);
         t.add_row({skew_str, key, cfg.label,
                    std::to_string(cfg.sopts.max_batch), mode,

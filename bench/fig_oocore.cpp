@@ -6,9 +6,9 @@
 // The workload is the serving scenario the paged store is built for: a
 // Zipf-skewed request stream over a graph whose vertex state dwarfs the
 // budget. The head of the popularity distribution stays resident (CLOCK
-// keeps re-referenced pages), the tail pages through the spill file, and
-// the prefetch hook hides cold faults behind the previous batch. Two
-// properties are asserted / gated:
+// keeps re-referenced pages) and the tail pages through the spill file.
+// Every row serves through the serial engine (one lane, so batches commit
+// in stream order). Two properties are asserted / gated:
 //
 //   * bit-identity — every budget serves the exact embeddings the
 //     all-resident run produces (checked on a probe batch after the
@@ -67,15 +67,13 @@ void write_json(const std::string& path, std::size_t num_nodes,
         "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"throughput_rps\": %.1f, \"hit_rate\": %.4f, "
         "\"evictions\": %llu, \"spill_page_writes\": %llu, "
-        "\"spill_page_reads\": %llu, \"prefetch_loads\": %llu, "
-        "\"writeback_invalidations\": %llu, "
+        "\"spill_page_reads\": %llu, \"writeback_invalidations\": %llu, "
         "\"p99_inflation_vs_resident\": %.2f, \"bit_identical\": %s}%s\n",
         r.budget_pct, r.budget_bytes, r.p50_ms, r.p95_ms, r.p99_ms,
         r.throughput_rps, r.hit_rate,
         static_cast<unsigned long long>(r.store.evictions),
         static_cast<unsigned long long>(r.store.spill_page_writes),
         static_cast<unsigned long long>(r.store.spill_page_reads),
-        static_cast<unsigned long long>(r.store.prefetch_loads),
         static_cast<unsigned long long>(r.store.writeback_invalidations),
         r.p99_inflation, r.bit_identical ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
@@ -95,9 +93,6 @@ int main(int argc, char** argv) {
   args.add_flag("events", "4000", "serving requests per budget row");
   args.add_flag("budgets", "100,50,10",
                 "comma-separated budgets as % of the vertex-state bytes");
-  args.add_flag("pipelined", "1",
-                "serve through the staged pipeline (prefetch fires one "
-                "stage early); 0 = serial engine loop");
   args.add_flag("require_p99_inflation", "0",
                 "fail if 50%%-budget p99 > this x resident p99 "
                 "(0 = report only; always report-only on 1 core)");
@@ -132,17 +127,16 @@ int main(int argc, char** argv) {
       region.size(), static_cast<std::size_t>(args.get_int("events")));
   const std::size_t hw =
       std::max(1u, std::thread::hardware_concurrency());
-  const bool pipelined = args.get_int("pipelined") != 0;
   std::printf("dataset: %zu nodes, %zu edges; vertex state %.1f MiB; "
-              "serving %zu events, batch %zu, %s engine, %zu hardware "
+              "serving %zu events, batch %zu, serial engine, %zu hardware "
               "thread(s)\n\n",
               static_cast<std::size_t>(ds.num_nodes()), ds.num_edges(),
               static_cast<double>(state_bytes) / (1024.0 * 1024.0), events,
-              common.batch, pipelined ? "pipelined" : "serial", hw);
+              common.batch, hw);
 
   Table t({"budget", "MiB", "p50 (ms)", "p95 (ms)", "p99 (ms)",
            "thpt (kreq/s)", "hit rate", "evictions", "spill W", "spill R",
-           "prefetch", "p99 vs resident", "bit-identical"});
+           "p99 vs resident", "bit-identical"});
 
   std::vector<Row> rows;
   Tensor resident_probe;  // embeddings of the probe batch
@@ -166,8 +160,6 @@ int main(int argc, char** argv) {
     runtime::ServingOptions sopts;
     sopts.max_batch = common.batch;
     sopts.max_wait_s = 1e-3;
-    sopts.pipelined = pipelined;
-    sopts.deterministic = pipelined;  // keep every row's stream identical
     runtime::ServingEngine server(*backend, sopts);
     for (std::size_t i = region.begin; i < region.begin + events; ++i)
       server.submit(i);
@@ -207,7 +199,6 @@ int main(int argc, char** argv) {
                Table::num(r.hit_rate, 4), std::to_string(r.store.evictions),
                std::to_string(r.store.spill_page_writes),
                std::to_string(r.store.spill_page_reads),
-               std::to_string(r.store.prefetch_loads),
                Table::num(r.p99_inflation, 2) + "x",
                r.bit_identical ? "yes" : "NO"});
     rows.push_back(r);

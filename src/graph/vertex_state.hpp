@@ -17,8 +17,8 @@
 // the default (zero) budget the store is a single flat allocation and
 // behaves exactly like the old std::vector members — stable row pointers,
 // no locks, no counters. With a byte budget the store keeps only the hot
-// pages resident and spills the rest (see vertex_store.hpp for the pin /
-// prefetch contract the engine follows in that regime). Record layout is
+// pages resident and spills the rest (see vertex_store.hpp for the pin
+// contract the engine follows in that regime). Record layout is
 // [f64 timestamp][payload...] per row, so one spill round-trip moves the
 // timestamp and the vector together and bit-exactly.
 #pragma once
@@ -61,9 +61,6 @@ class VertexMemory {
   [[nodiscard]] bool out_of_core() const { return store_.out_of_core(); }
   void pin_rows(std::span<const NodeId> rows) { store_.pin_rows(rows); }
   void unpin_rows(std::span<const NodeId> rows) { store_.unpin_rows(rows); }
-  void prefetch_rows(std::span<const NodeId> rows) {
-    store_.prefetch_rows(rows);
-  }
   [[nodiscard]] VertexStoreStats store_stats() const { return store_.stats(); }
 
  private:
@@ -107,9 +104,6 @@ class VertexMailbox {
   [[nodiscard]] bool out_of_core() const { return store_.out_of_core(); }
   void pin_rows(std::span<const NodeId> rows) { store_.pin_rows(rows); }
   void unpin_rows(std::span<const NodeId> rows) { store_.unpin_rows(rows); }
-  void prefetch_rows(std::span<const NodeId> rows) {
-    store_.prefetch_rows(rows);
-  }
   [[nodiscard]] VertexStoreStats store_stats() const { return store_.stats(); }
 
  private:

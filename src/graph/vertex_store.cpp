@@ -102,16 +102,16 @@ std::byte* VertexStore::row_mut(std::size_t r) {
 
 VertexStore::Frame* VertexStore::fault_page(std::size_t page) {
   util::MutexLock lk(mu_);
-  return &frames_[frame_for(page, /*prefetch=*/false)];
+  return &frames_[frame_for(page)];
 }
 
-std::size_t VertexStore::frame_for(std::size_t page, bool prefetch) {
+std::size_t VertexStore::frame_for(std::size_t page) {
   const std::int32_t existing = frame_of_[page];
   if (existing >= 0) {
     frames_[static_cast<std::size_t>(existing)].ref = true;
     return static_cast<std::size_t>(existing);
   }
-  const std::size_t f = find_victim_frame(/*allow_overcommit=*/!prefetch);
+  const std::size_t f = find_victim_frame();
   Frame& fr = frames_[f];
   if (fr.page >= 0) evict_frame(f);
   fr.dirty.store(false, std::memory_order_relaxed);
@@ -134,7 +134,7 @@ std::size_t VertexStore::frame_for(std::size_t page, bool prefetch) {
   return f;
 }
 
-std::size_t VertexStore::find_victim_frame(bool allow_overcommit) {
+std::size_t VertexStore::find_victim_frame() {
   // Retired slots first: re-arming one is cheaper than evicting and keeps
   // the pool at the budget.
   if (!free_frames_.empty()) {
@@ -160,8 +160,6 @@ std::size_t VertexStore::find_victim_frame(bool allow_overcommit) {
     }
     return f;
   }
-  if (!allow_overcommit)
-    throw std::logic_error("VertexStore: no evictable frame for prefetch");
   // Every frame pinned: the budget is smaller than one batch's footprint.
   // Grow past the budget rather than deadlock (trim_overcommit reclaims
   // the excess once pins drop); the counter makes the misconfiguration
@@ -244,7 +242,7 @@ void VertexStore::pin_rows(std::span<const NodeId> rows) {
         ++stats_.hits;
       else
         ++stats_.misses;
-      Frame& fr = frames_[frame_for(page, /*prefetch=*/false)];
+      Frame& fr = frames_[frame_for(page)];
       ++fr.pins;
       ++total_pins_;
     }
@@ -318,29 +316,6 @@ void VertexStore::trim_overcommit() {
     fr.data.reset();
     free_frames_.push_back(f);
     --allocated_frames_;
-  }
-}
-
-void VertexStore::prefetch_rows(std::span<const NodeId> rows) {
-  if (resident_) return;
-  util::MutexLock lk(mu_);
-  for (const NodeId r : rows) {
-    const std::size_t page = static_cast<std::size_t>(r) / rows_per_page_;
-    if (frame_of_[page] >= 0) {
-      ++stats_.prefetch_hits;
-      frames_[static_cast<std::size_t>(frame_of_[page])].ref = true;
-      continue;
-    }
-    try {
-      frame_for(page, /*prefetch=*/true);
-      ++stats_.prefetch_loads;
-    } catch (const std::logic_error&) {
-      return;  // everything pinned right now; prefetch is best-effort
-    } catch (const util::InjectedFault&) {
-      return;  // spill fault on an advisory load: give up, pin will retry
-    } catch (const SpillIoError&) {
-      return;
-    }
   }
 }
 

@@ -5,7 +5,7 @@
 // A store holds `num_rows` fixed-size records. Two regimes:
 //
 //  * All-resident (budget 0 or >= total): one flat allocation, row
-//    pointers stable forever, every pin/unpin/prefetch a no-op. This is
+//    pointers stable forever, every pin/unpin a no-op. This is
 //    the default and is byte-for-byte the pre-store behavior — the whole
 //    serving stack pays nothing until someone asks for a budget.
 //
@@ -21,8 +21,8 @@
 // Concurrency contract (matches how the engine's stage machinery and the
 // sharded lanes actually access state):
 //
-//  * pin_rows / unpin_rows / prefetch_rows / stats / reset take the store
-//    mutex and may be called from any thread.
+//  * pin_rows / unpin_rows / stats / reset take the store mutex and may
+//    be called from any thread.
 //  * row() / row_mut() are lock-free. They are safe concurrently iff the
 //    row's page is pinned by the calling batch (the pin's mutex acquire
 //    is the happens-before edge that makes the page-table read valid);
@@ -77,9 +77,7 @@ struct VertexStoreOptions {
 
 /// Counters surfaced through Backend::store_stats() into ServingStats.
 /// hits/misses count row-granular pin requests (the serving path's access
-/// notion); prefetch traffic is tracked separately so a prefetched page's
-/// later pin legitimately counts as a hit — hiding the fault latency is
-/// the prefetcher's whole purpose.
+/// notion).
 struct VertexStoreStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -89,8 +87,6 @@ struct VertexStoreStats {
   /// Stale queued write-backs superseded by a newer dirtying of the same
   /// page (only the newest version spills — §IV-B invalidation).
   std::uint64_t writeback_invalidations = 0;
-  std::uint64_t prefetch_hits = 0;   ///< prefetch requests already resident
-  std::uint64_t prefetch_loads = 0;  ///< pages faulted in by prefetch
   /// Frames allocated past the configured budget because every frame was
   /// pinned at fault time (budget smaller than one batch's footprint).
   std::uint64_t overcommit_frames = 0;
@@ -114,8 +110,6 @@ struct VertexStoreStats {
     spill_page_writes += o.spill_page_writes;
     spill_page_reads += o.spill_page_reads;
     writeback_invalidations += o.writeback_invalidations;
-    prefetch_hits += o.prefetch_hits;
-    prefetch_loads += o.prefetch_loads;
     overcommit_frames += o.overcommit_frames;
     io_retries += o.io_retries;
     io_failures += o.io_failures;
@@ -154,10 +148,6 @@ class VertexStore {
   /// batch either holds all its pins or none.
   void pin_rows(std::span<const NodeId> rows) TGNN_EXCLUDES(mu_);
   void unpin_rows(std::span<const NodeId> rows) TGNN_EXCLUDES(mu_);
-  /// Best-effort fault-in without pinning (the NeighborGather-driven
-  /// prefetch hook): pages already resident count as prefetch_hits, the
-  /// rest are loaded unless doing so would require evicting a pinned page.
-  void prefetch_rows(std::span<const NodeId> rows) TGNN_EXCLUDES(mu_);
 
   /// Zero every row and drop all spilled content. Requires no pins held.
   void reset() TGNN_EXCLUDES(mu_);
@@ -189,8 +179,8 @@ class VertexStore {
     std::unique_ptr<std::byte[]> data;
   };
 
-  std::size_t frame_for(std::size_t page, bool prefetch) TGNN_REQUIRES(mu_);
-  std::size_t find_victim_frame(bool allow_overcommit) TGNN_REQUIRES(mu_);
+  std::size_t frame_for(std::size_t page) TGNN_REQUIRES(mu_);
+  std::size_t find_victim_frame() TGNN_REQUIRES(mu_);
   void evict_frame(std::size_t f) TGNN_REQUIRES(mu_);
   void flush_queue(std::size_t max_entries) TGNN_REQUIRES(mu_);
   void write_back(std::size_t f) TGNN_REQUIRES(mu_);

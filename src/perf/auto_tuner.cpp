@@ -9,10 +9,7 @@ namespace tgnn::perf {
 
 std::string SwCandidate::describe() const {
   char buf[96];
-  if (pipelined)
-    std::snprintf(buf, sizeof buf, "batch %zu, pipelined depth %zu",
-                  max_batch, pipeline_depth);
-  else if (workers > 1)
+  if (workers > 1)
     std::snprintf(buf, sizeof buf, "batch %zu, %zu workers", max_batch,
                   workers);
   else
@@ -28,15 +25,12 @@ runtime::ServingOptions AutoTuner::options_for(const SwCandidate& c) const {
   o.max_batch = std::max<std::size_t>(c.max_batch, 1);
   o.max_wait_s = opts_.max_wait_s;
   o.queue_capacity = std::max<std::size_t>(4 * o.max_batch, 4096);
-  o.workers = c.pipelined ? 1 : c.workers;
-  o.pipelined = c.pipelined;
-  o.pipeline_depth = c.pipeline_depth;
+  o.workers = c.workers;
   return o;
 }
 
 std::vector<SwCandidate> AutoTuner::candidates() const {
   const auto* cb = dynamic_cast<runtime::ConcurrentBackend*>(&backend_);
-  const auto* sb = dynamic_cast<runtime::StagedBackend*>(&backend_);
   std::vector<SwCandidate> out;
   for (std::size_t b : opts_.batch_grid) {
     SwCandidate c;
@@ -48,15 +42,6 @@ std::vector<SwCandidate> AutoTuner::candidates() const {
           c.workers = w;
           out.push_back(c);
         }
-    if (sb != nullptr) {
-      c.workers = 1;
-      c.pipelined = true;
-      for (std::size_t d : opts_.depth_grid)
-        if (d >= 2) {
-          c.pipeline_depth = d;
-          out.push_back(c);
-        }
-    }
   }
   return out;
 }

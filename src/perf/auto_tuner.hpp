@@ -11,12 +11,12 @@
 // traffic.
 //
 // search() is successive halving over candidates() (every point the
-// backend's contracts admit: workers need a ConcurrentBackend, pipelining
-// a StagedBackend). Round 0 serves every candidate on an equal share of
-// the round's events; each later round keeps the better half by measured
-// req/s and splits an equal round budget among the survivors, so the
-// candidates still in the race are measured on ever longer slices. The
-// search ends when one candidate is left. The rounds split
+// backend's contracts admit: worker lanes need a ConcurrentBackend).
+// Round 0 serves every candidate on an equal share of the round's events;
+// each later round keeps the better half by measured req/s and splits an
+// equal round budget among the survivors, so the candidates still in the
+// race are measured on ever longer slices. The search ends when one
+// candidate is left. The rounds split
 // `budget_events` evenly, so the whole search serves at most that many.
 //
 // The search CONSUMES stream events (every measurement serves real
@@ -37,9 +37,7 @@ namespace tgnn::perf {
 /// exposes that change throughput, minus admission policy).
 struct SwCandidate {
   std::size_t max_batch = 256;
-  std::size_t workers = 1;       ///< > 1 requires a ConcurrentBackend
-  bool pipelined = false;        ///< requires a StagedBackend
-  std::size_t pipeline_depth = core::kNumStages;
+  std::size_t workers = 1;  ///< > 1 requires a ConcurrentBackend
   [[nodiscard]] std::string describe() const;
 };
 
@@ -47,11 +45,10 @@ struct AutoTunerOptions {
   /// Stream events the whole search may serve, split evenly across the
   /// halving rounds.
   std::size_t budget_events = 6144;
-  /// Candidate grids. Worker counts above the backend's lanes() and modes
-  /// the backend's contracts don't admit are skipped, not errors.
+  /// Candidate grids. Worker counts above the backend's lanes() (or on a
+  /// backend without lanes) are skipped, not errors.
   std::vector<std::size_t> batch_grid = {16, 32, 64, 128, 256, 512};
   std::vector<std::size_t> worker_grid = {2, 4, 8};
-  std::vector<std::size_t> depth_grid = {2, core::kNumStages};
   double max_wait_s = 1e-3;  ///< formation wait of every candidate
 };
 
@@ -83,7 +80,7 @@ class AutoTuner {
   [[nodiscard]] TuneResult search(std::size_t start_index);
 
   /// The candidate list the backend's contracts admit (serial always;
-  /// workers / pipelined modes gated on the backend's interfaces).
+  /// worker counts gated on the backend's lanes).
   [[nodiscard]] std::vector<SwCandidate> candidates() const;
 
   /// ServingOptions realizing one candidate under this tuner's options.

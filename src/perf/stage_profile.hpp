@@ -12,13 +12,13 @@
 // serving. ServingStats carries the snapshot; describe() and the bench
 // tables name the bottleneck stage from it.
 //
-// Attribution convention: profiles recorded from aggregate PartTimes
-// (whole-batch lanes) map the buckets memory -> MemoryUpdate,
-// sample -> NeighborGather, gnn -> GnnCompute, update -> Decode. The
-// batched GNN gather is charged to the gnn bucket by PartTimes even though
-// it executes inside the NeighborGather stage, so bucket profiles shift
-// some gather time into GnnCompute versus the stage-wall times the
-// pipelined executor records.
+// Attribution convention: the engine records each batch's PartTimes
+// buckets, mapped memory -> MemoryUpdate, sample -> NeighborGather,
+// gnn -> GnnCompute, update -> Decode. The batched GNN gather is charged to
+// the gnn bucket by PartTimes even though it executes inside the
+// NeighborGather stage, so these profiles shift some gather time into
+// GnnCompute versus stage wall times (which the staged replay API,
+// runtime::StagedBackend, measures directly).
 #pragma once
 
 #include <array>

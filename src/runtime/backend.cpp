@@ -7,8 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include <omp.h>
-
 #include "baselines/apan.hpp"
 #include "baselines/cpu_runner.hpp"
 #include "fpga/accelerator.hpp"
@@ -22,11 +20,8 @@ BackendOptions::BackendOptions() : gpu(baselines::titan_xp()) {}
 namespace {
 
 /// "cpu" / "cpu-mt": measured execution of the reference engine, wrapping
-/// the OpenMP CpuRunner baseline. Also a StagedBackend: pipeline slots are
-/// engine StageContexts; the engine holds no per-batch state of its own, so
-/// stage calls on distinct slots are safe from different stage workers as
-/// long as the scheduler keeps in-flight footprints disjoint (reads too —
-/// race_free_reads() stays false: there are no shard locks here).
+/// the OpenMP CpuRunner baseline. Also a StagedBackend: its slots are
+/// engine StageContexts, driven one batch at a time.
 class CpuBackend final : public Backend, public StagedBackend {
  public:
   CpuBackend(std::string key, const core::TgnModel& model,
@@ -92,37 +87,15 @@ class CpuBackend final : public Backend, public StagedBackend {
     for (auto& ctx : slots_)
       runner_.engine().reserve_context(ctx, max_batch_edges);
   }
-  [[nodiscard]] std::size_t pipeline_slots() const override {
-    return slots_.size();
-  }
   void begin_batch(std::size_t slot, const graph::BatchRange& r) override {
     runner_.engine().stage_begin(slots_.at(slot), r);
   }
   void run_stage(core::Stage s, std::size_t slot) override {
-    // Split the runner's thread budget across the stages that can actually
-    // run concurrently (never more than there are slots): binding the full
-    // count in every stage worker would oversubscribe the machine up to
-    // kNumStages times over (the same reason sharded lanes pin to 1).
-    // omp_set_num_threads is per-calling-thread, and thread count never
-    // moves a bit.
-    const auto concurrent = static_cast<int>(
-        std::min(slots_.size(), core::kNumStages));
-    omp_set_num_threads(
-        std::max(1, runner_.threads() / std::max(1, concurrent)));
+    runner_.bind_threads();
     runner_.engine().stage_run(s, slots_.at(slot));
   }
   void finish_batch(std::size_t slot) override {
     (void)runner_.engine().stage_finish(slots_.at(slot));
-  }
-  void abort_batch(std::size_t slot) override {
-    runner_.engine().stage_abort(slots_.at(slot));
-  }
-  void read_footprint(const graph::BatchRange& r,
-                      std::vector<graph::NodeId>& out) const override {
-    runner_.engine().read_footprint(r, out);
-  }
-  void prefetch_rows(std::span<const graph::NodeId> nodes) override {
-    runner_.engine().state().prefetch_rows(nodes);
   }
 
  private:

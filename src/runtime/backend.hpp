@@ -132,72 +132,30 @@ class ConcurrentBackend : public Backend {
                               std::vector<graph::NodeId>& out) const = 0;
 };
 
-/// A backend whose engine exposes the staged pipeline (core::Stage): the
-/// serving layer can run stage k of batch i concurrently with stage k-1 of
-/// batch i+1 — the software port of the paper's hardware dataflow, where
-/// the memory-update unit, embedding unit, and decoder overlap consecutive
-/// event batches across bounded FIFOs.
-///
-/// A slot is one in-flight batch's StageContext. The caller (one pipelined
-/// ServingEngine) drives each slot through begin_batch -> run_stage(each
-/// Stage, in order) -> finish_batch, and guarantees:
-///   * a slot is driven by one thread at a time (handoffs between stage
-///     workers are synchronized),
-///   * in-flight batches' WRITE footprints (edge endpoints) are pairwise
-///     disjoint, and — unless race_free_reads() — their READ footprints
-///     (read_footprint()) never overlap an in-flight batch's writes.
-/// Under that contract, concurrent run_stage calls on distinct slots are
-/// data-race-free and per-vertex state writes stay chronological.
-///
-/// Implemented by "cpu", "cpu-mt" (read-tracked admission), and
-/// "sharded-cpu" (whose shard locks make relaxed reads race-free — its
-/// lanes compose with pipelining by mapping slots onto lanes).
+/// The staged replay API: a backend whose engine exposes its four
+/// core::Stage steps one call at a time, so a caller can time each stage on
+/// exactly the batches a serving run executed (the Table I breakdown, per
+/// stage instead of per PartTimes bucket). A slot is one batch's
+/// StageContext; the caller drives it through begin_batch -> run_stage
+/// (each Stage, in order) -> finish_batch, one batch at a time, and the
+/// result is bit-identical to process_batch. Implemented by "cpu" and
+/// "cpu-mt".
 class StagedBackend {
  public:
   virtual ~StagedBackend() = default;
 
-  /// (Re)create `slots` pipeline contexts, each workspace-reserved for
+  /// (Re)create `slots` stage contexts, each workspace-reserved for
   /// batches of up to `max_batch_edges` edges. Called once before any
   /// staged execution; discards previous contexts.
   virtual void prepare_pipeline(std::size_t slots,
                                 std::size_t max_batch_edges) = 0;
-  [[nodiscard]] virtual std::size_t pipeline_slots() const = 0;
-
-  /// Bind batch `r` to `slot` (vertex collection; reads only the immutable
-  /// edge stream, so this may run before hazard admission).
+  /// Bind batch `r` to `slot` (vertex collection and the out-of-core pin
+  /// window).
   virtual void begin_batch(std::size_t slot, const graph::BatchRange& r) = 0;
-  /// Execute one pipeline stage of the batch bound to `slot`.
+  /// Execute one stage of the batch bound to `slot`.
   virtual void run_stage(core::Stage s, std::size_t slot) = 0;
   /// Release the slot's per-batch result; the slot is then reusable.
   virtual void finish_batch(std::size_t slot) = 0;
-  /// Abandon the slot's batch after a faulted stage: release its pin
-  /// window and clear the context. Legal at any point before kDecode has
-  /// run — stages 0..2 write only the slot's context, so an aborted batch
-  /// leaves per-vertex state untouched (no partial commit, chronology
-  /// preserved). The slot is then reusable.
-  virtual void abort_batch(std::size_t slot) = 0;
-
-  /// Vertices the batch will READ beyond its own endpoints (the sampled
-  /// temporal neighbors of every endpoint, from current state). Only safe
-  /// to call while no in-flight batch writes r's endpoints.
-  virtual void read_footprint(const graph::BatchRange& r,
-                              std::vector<graph::NodeId>& out) const = 0;
-
-  /// True when cross-batch neighbor-memory reads are internally
-  /// synchronized (shard locks): the scheduler may then overlap a batch
-  /// with writers of rows it merely reads (relaxed admission). When false,
-  /// the scheduler must track read footprints regardless of the requested
-  /// conflict policy — which incidentally makes execution deterministic.
-  [[nodiscard]] virtual bool race_free_reads() const { return false; }
-
-  /// Hint that `nodes`' vertex-state pages will be touched by a batch that
-  /// just passed admission: an out-of-core store faults them in ahead of
-  /// the stage that reads them (the pipelined scheduler calls this with
-  /// the write + read footprints it already computed). Purely advisory —
-  /// default no-op, and a no-op on all-resident state.
-  virtual void prefetch_rows(std::span<const graph::NodeId> nodes) {
-    (void)nodes;
-  }
 };
 
 /// Per-key construction knobs. `model` and `ds` passed to make_backend must

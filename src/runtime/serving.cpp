@@ -111,12 +111,10 @@ void ServingEngine::audit_in_flight_footprints() const {
 ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
     : backend_(backend),
       concurrent_(dynamic_cast<ConcurrentBackend*>(&backend)),
-      staged_(opts.pipelined ? dynamic_cast<StagedBackend*>(&backend)
-                             : nullptr),
       opts_(opts),
       workers_(resolve_workers(opts, concurrent_)),
-      pool_(1 + (opts.pipelined ? core::kNumStages
-                                : (workers_ > 1 ? workers_ : 0))) {
+      track_reads_(opts.deterministic && workers_ > 1),
+      pool_(workers_ > 1 ? 1 + workers_ : 1) {
   if (opts_.max_batch == 0)
     throw std::invalid_argument("ServingEngine: max_batch must be > 0");
   if (opts_.queue_capacity == 0)
@@ -134,29 +132,6 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
       !(opts_.degrade_low < opts_.degrade_high))
     throw std::invalid_argument(
         "ServingEngine: degrade_low must be < degrade_high");
-  std::size_t slots = workers_;
-  if (opts_.pipelined) {
-    if (staged_ == nullptr)
-      throw std::invalid_argument(
-          "ServingEngine: pipelined requires a StagedBackend "
-          "(cpu | cpu-mt | sharded-cpu); backend '" +
-          backend_.name() + "' is not one");
-    if (opts_.workers > 1)
-      throw std::invalid_argument(
-          "ServingEngine: pipelined and workers > 1 are mutually exclusive "
-          "(a staged sharded backend composes its lanes as pipeline slots)");
-    if (opts_.pipeline_depth == 0)
-      throw std::invalid_argument(
-          "ServingEngine: pipeline_depth must be > 0");
-    // A backend without internally synchronized cross-batch reads cannot
-    // run relaxed admission safely — track read footprints regardless of
-    // the requested policy (which also makes execution deterministic).
-    track_reads_ = opts_.deterministic || !staged_->race_free_reads();
-    staged_->prepare_pipeline(opts_.pipeline_depth, opts_.max_batch);
-    slots = opts_.pipeline_depth;
-  } else {
-    track_reads_ = opts_.deterministic && workers_ > 1;
-  }
   {
     // The executor threads don't exist yet, but initializing the guarded
     // state under the lock keeps every write inside the capability.
@@ -174,17 +149,8 @@ ServingEngine::ServingEngine(Backend& backend, ServingOptions opts)
     const auto num_nodes = backend_.dataset().graph.num_nodes();
     write_marks_.assign(num_nodes, 0);
     full_marks_.assign(num_nodes, 0);
-    for (std::size_t s = slots; s-- > 0;) free_slots_.push_back(s);
-    slot_meta_.assign(slots, SlotMeta{});
-  }
-  if (staged_ != nullptr) {
-    // Inter-stage FIFOs, capacity 1: classic pipeline registers — a stage
-    // stalls until its successor drains.
-    stage_q_.reserve(core::kNumStages);
-    for (std::size_t k = 0; k < core::kNumStages; ++k)
-      stage_q_.push_back(std::make_unique<StageChannel<StageToken>>(1));
-    for (std::size_t k = 0; k < core::kNumStages; ++k)
-      pool_.submit([this, k] { stage_worker(k); });
+    for (std::size_t s = workers_; s-- > 0;) free_slots_.push_back(s);
+    slot_meta_.assign(workers_, SlotMeta{});
   }
   pool_.submit([this] { scheduler_loop(); });
 }
@@ -199,9 +165,9 @@ void ServingEngine::stop() {
   cv_submit_.notify_all();
   cv_state_.notify_all();  // release submitters blocked on queue capacity
   // The scheduler flushes and completes everything still queued or
-  // mid-pipeline (next_batch keeps handing out batches until the queue is
-  // empty), closes the stage FIFOs, and the workers drain them — so this
-  // returns only after every submitted request has been resolved.
+  // executing (next_batch keeps handing out batches until the queue is
+  // empty) and the pool finishes its lanes — so this returns only after
+  // every submitted request has been resolved.
   pool_.wait_idle();
 }
 
@@ -396,10 +362,10 @@ void ServingEngine::maybe_degrade() {
   // Precision flips require backend quiescence. The only point this
   // scheduler can guarantee it is right after batch formation when the
   // formed batch is the sole in-flight work (so nothing is executing) —
-  // always true with one slot, opportunistic (empty pipeline / idle
-  // lanes) otherwise. The flip happens under mu_: set_precision only
-  // rebuilds the model's precision caches, takes no engine lock, and
-  // holding mu_ keeps stats()'s precision read race-free.
+  // always true with one lane, opportunistic (idle lanes) otherwise. The
+  // flip happens under mu_: set_precision only rebuilds the model's
+  // precision caches, takes no engine lock, and holding mu_ keeps
+  // stats()'s precision read race-free.
   if (in_flight_ != 1) return;
   pressure_run_ = 0;
   clear_run_ = 0;
@@ -447,7 +413,7 @@ void ServingEngine::scheduler_loop() {
   SlotMeta next;  // the batch being formed; acquire swaps it into its slot
   util::MutexLock lk(mu_);
   for (;;) {
-    // Slot first, then formation: with one slot the previous batch has
+    // Slot first, then formation: with one lane the previous batch has
     // retired before the next one forms, so every serial formation is a
     // quiescent point for maybe_degrade.
     while (free_slots_.empty()) cv_state_.wait(lk);
@@ -467,31 +433,20 @@ void ServingEngine::scheduler_loop() {
     next.rfp.clear();
     if (track_reads_) {
       lk.unlock();
-      if (staged_ != nullptr)
-        staged_->read_footprint(next.range, next.rfp);
-      else
-        concurrent_->read_footprint(next.range, next.rfp);
+      concurrent_->read_footprint(next.range, next.rfp);
       lk.lock();
       while (!disjoint(next.rfp, write_marks_)) cv_state_.wait(lk);
     }
 
     const std::size_t slot = acquire(next);
-    // The slot's meta belongs to this batch until retire(slot), so the
-    // executors may read it off-lock.
-    const SlotMeta& meta = slot_meta_[slot];
+    const graph::BatchRange range = slot_meta_[slot].range;
     lk.unlock();
-    if (staged_ != nullptr)
-      enter_pipeline(slot, meta);
-    else if (workers_ == 1)
-      run_lane(slot, meta.range);  // the scheduler would only wait for it
+    if (workers_ == 1)
+      run_lane(slot, range);  // the scheduler would only wait for it
     else
-      pool_.submit([this, slot, range = meta.range] { run_lane(slot, range); });
+      pool_.submit([this, slot, range] { run_lane(slot, range); });
     lk.lock();
   }
-  // Stream over (stop with an empty queue): close the pipe; the close
-  // cascades stage by stage once each worker has drained its input, so
-  // everything mid-pipeline still completes in order.
-  if (staged_ != nullptr) stage_q_[0]->close();
 }
 
 std::size_t ServingEngine::acquire(SlotMeta& batch) {
@@ -523,73 +478,9 @@ void ServingEngine::run_lane(std::size_t slot, graph::BatchRange range) {
   retire(slot, ok, stage_array(out.parts), out.latency_s);
 }
 
-void ServingEngine::enter_pipeline(std::size_t slot, const SlotMeta& meta) {
-  // Out-of-core prefetch, one stage early: the admitted batch's write
-  // footprint (its endpoints) and — when read tracking already computed
-  // it — the rows it will read are faulted in now, while predecessor
-  // batches still occupy the pipeline ahead of it. No-op on an
-  // all-resident store.
-  staged_->prefetch_rows(meta.wfp);
-  if (!meta.rfp.empty()) staged_->prefetch_rows(meta.rfp);
-  // Pipeline entry runs under the same retry envelope as the stages:
-  // begin_batch reads only the immutable stream. A permanent fault here
-  // aborts the batch before any stage ran.
-  const StageToken tok{slot, meta.dispatch_s, {}};
-  const bool begun = run_with_retries([&] {
-    util::fault_point(util::FaultSite::kStageExec);
-    staged_->begin_batch(slot, meta.range);
-  });
-  if (begun)
-    hand_off(0, tok);
-  else
-    retire(slot, false, tok.stage_s, 0.0);
-}
-
-void ServingEngine::hand_off(std::size_t k, const StageToken& tok) {
-  // The stage-channel handoff is a fault site of its own — the software
-  // analogue of a dropped FIFO beat between hardware modules.
-  if (run_with_retries(
-          [] { util::fault_point(util::FaultSite::kChannelHandoff); }))
-    stage_q_[k]->push(tok);  // stalls while stage k is busy
-  else
-    retire(tok.slot, false, tok.stage_s, 0.0);
-}
-
-void ServingEngine::stage_worker(std::size_t k) {
-  while (auto tok = stage_q_[k]->pop()) {
-    // The stage body is a fault site: transient faults are retried before
-    // the stage runs (the fault point precedes the work, so a retry never
-    // re-executes a half-run stage); a permanent fault aborts the batch.
-    const double begin_s = clock_.seconds();
-    const bool ran = run_with_retries([&] {
-      util::fault_point(util::FaultSite::kStageExec);
-      staged_->run_stage(static_cast<core::Stage>(k), tok->slot);
-    });
-    tok->stage_s[k] = clock_.seconds() - begin_s;
-    if (!ran)
-      retire(tok->slot, false, tok->stage_s, 0.0);
-    else if (k + 1 < core::kNumStages)
-      hand_off(k + 1, *tok);
-    else  // Decode committed; service spans admission to completion
-      retire(tok->slot, true, tok->stage_s,
-             clock_.seconds() - tok->dispatch_s);
-  }
-  if (k + 1 < core::kNumStages) stage_q_[k + 1]->close();
-}
-
 void ServingEngine::retire(std::size_t slot, bool ok,
                            const std::array<double, core::kNumStages>& stage_s,
                            double service_s) {
-  // Backend first (needs no engine lock). A staged batch either committed
-  // at Decode, or is aborted before it: stages before Decode write only the
-  // slot's context, so abort_batch releases pins and scratch with nothing
-  // committed — per-vertex chronology holds and the stream continues.
-  if (staged_ != nullptr) {
-    if (ok)
-      staged_->finish_batch(slot);
-    else
-      staged_->abort_batch(slot);
-  }
   util::MutexLock lk(mu_);
   SlotMeta& meta = slot_meta_[slot];
   for (graph::NodeId v : meta.wfp) {

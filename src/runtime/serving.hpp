@@ -8,35 +8,28 @@
 //   * `max_batch` requests are pending (batch-size cap), or
 //   * the oldest pending request has waited `max_wait_s` (latency flush).
 //
-// One admission core serves every mode. The scheduler thread waits for a
+// One admission core with one executor. The scheduler thread waits for a
 // free slot, forms the next batch, acquires its footprint in the conflict
-// ledger, hands the slot to an executor, and the executor retires it.
+// ledger, hands the slot to a whole-batch lane, and the lane retires it.
 // Batches are formed and admitted in strict stream order, and a batch is
 // admitted only once its WRITE footprint (edge endpoints) is disjoint from
 // every in-flight batch's; head-of-line admission therefore serializes any
 // two batches sharing a vertex in stream order, so per-vertex state writes
 // stay chronological — the guarantee Algorithm 1 needs, and the one the
-// paper's hardware Updater exploits instead of serializing globally. Two
-// executors:
-//   * whole-batch lanes. `workers == 1` (the default) is one lane, run on
-//     the scheduler thread: a strict serial executor that still amortizes
-//     per-batch overhead, the latency/throughput trade the paper sweeps in
-//     Fig. 5. `workers > 1` requires a ConcurrentBackend ("sharded-cpu")
-//     and runs disjoint batches on parallel lanes.
-//   * the staged pipeline (`pipelined`, requires a StagedBackend: "cpu",
-//     "cpu-mt", "sharded-cpu"): each slot flows through the four
-//     core::Stage workers over bounded StageChannels (the software port of
-//     the paper's inter-module FIFOs), so stage k of batch i overlaps stage
-//     k-1 of batch i+1.
-// Two conflict policies when more than one slot exists:
+// paper's hardware Updater exploits instead of serializing globally.
+// `workers == 1` (the default) is one lane, run on the scheduler thread: a
+// strict serial executor that still amortizes per-batch overhead, the
+// latency/throughput trade the paper sweeps in Fig. 5. `workers > 1`
+// requires a ConcurrentBackend ("sharded-cpu") and runs disjoint batches
+// on parallel pool lanes. Two conflict policies when more than one lane
+// exists:
 //   * relaxed (default): only write footprints are kept disjoint; a batch
 //     may read a neighbor's memory while another in-flight batch — earlier
 //     OR later in stream order — updates it (race-free via shard locks, but
 //     either the pre- or post-update row may be seen).
 //   * deterministic: READ footprints (sampled neighbors) are tracked too,
 //     so no in-flight batch observes another's effects — bit-identical to
-//     the serial "cpu" backend. A staged backend without race-free reads
-//     is always read-tracked.
+//     the serial "cpu" backend.
 //
 // The submit queue is bounded: what happens when it fills is the
 // engine's admission policy (overload behavior under §II-A's bursty
@@ -68,10 +61,9 @@
 // util::InjectedFault is retried up to `fault_retries` times with
 // exponential backoff; a permanent fault (or exhausted retries, or any
 // other exception) fails the BATCH — its requests end in
-// RequestOutcome::kFailed, pinned rows are released (StagedBackend::
-// abort_batch before Decode, so no partial state commits), the conflict
-// ledger is unwound, and the engine keeps serving. Nothing deadlocks and
-// per-vertex chronology is preserved: failed batches commit nothing.
+// RequestOutcome::kFailed, the conflict ledger is unwound, and the engine
+// keeps serving. Nothing deadlocks, and the stage-execution fault site
+// precedes the batch, so a batch failed there commits nothing.
 //
 // Every completed batch also feeds a low-overhead per-stage profiler
 // (perf::StageProfiler — EWMA + windowed percentiles over the four
@@ -90,14 +82,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "perf/stage_profile.hpp"
 #include "runtime/backend.hpp"
-#include "runtime/stage_channel.hpp"
 #include "runtime/stream_result.hpp"
 #include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
@@ -121,13 +111,8 @@ struct ServingOptions {
   std::size_t workers = 1;   ///< parallel dispatch lanes; > 1 requires a
                              ///< ConcurrentBackend (clamped to its lanes())
   bool deterministic = false;  ///< track read footprints too: bit-identical
-                               ///< to serial execution (a one-slot engine
-                               ///< is serial already)
-  bool pipelined = false;  ///< stage-level cross-batch overlap; requires a
-                           ///< StagedBackend, mutually exclusive with
-                           ///< workers > 1
-  std::size_t pipeline_depth = core::kNumStages;  ///< max in-flight batches
-                                                  ///< (StageContext slots)
+                               ///< to serial execution (one lane is
+                               ///< serial already)
 
   // ---- Overload admission (see file comment) --------------------------
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
@@ -164,13 +149,11 @@ struct ServingStats {
   double throughput_rps = 0.0;  ///< requests per wall-clock second
   double mean_batch_size = 0.0;
   /// Most batches ever executing at once (1 in serial mode; > 1 proves
-  /// disjoint-footprint batches actually overlapped — across lanes in
-  /// worker mode, across stages in pipelined mode).
+  /// disjoint-footprint batches actually overlapped on worker lanes).
   std::size_t peak_parallel_batches = 0;
-  /// Occupancy gauges: most batches ever formed-but-incomplete (pipeline /
-  /// lane occupancy incl. batches waiting on the hazard check) and most
-  /// requests ever pending in the submit queue — what makes pipelined vs
-  /// serial occupancy observable next to peak_parallel_batches.
+  /// Occupancy gauges: most batches ever formed-but-incomplete (lane
+  /// occupancy incl. a batch waiting on the hazard check) and most
+  /// requests ever pending in the submit queue.
   std::size_t peak_in_flight_batches = 0;
   std::size_t peak_queue_depth = 0;
   /// Overload / fault disposition counters. num_requests counts SERVED
@@ -185,15 +168,14 @@ struct ServingStats {
   /// fp32 -> bf16 -> int8 ladder when degradation is on).
   kernels::Precision precision = kernels::Precision::kFp32;
   /// Out-of-core vertex-store counters (hit/miss/eviction/spill traffic,
-  /// write-back invalidations, prefetch effectiveness, spill I/O retries
-  /// and permanent failures), queried from the backend at stats() time.
+  /// write-back invalidations, spill I/O retries and permanent failures),
+  /// queried from the backend at stats() time.
   /// All-zero when serving all-resident.
   graph::VertexStoreStats store;
   /// Per-stage per-batch time percentiles (core::Stage order: MemoryUpdate,
   /// NeighborGather, GnnCompute, Decode) over every completed batch —
   /// which stage the workload actually bottlenecks on, not just the
-  /// aggregate service time. Serial/worker modes attribute via the
-  /// PartTimes buckets, the pipelined mode via stage wall times (see
+  /// aggregate service time, attributed via the PartTimes buckets (see
   /// perf/stage_profile.hpp for the convention).
   std::array<double, core::kNumStages> p50_stage_s{};
   std::array<double, core::kNumStages> p95_stage_s{};
@@ -273,8 +255,8 @@ class ServingEngine {
   void drain() TGNN_EXCLUDES(mu_);
 
   /// Graceful shutdown: everything submitted so far — including batches
-  /// mid-pipeline — is flushed, executed in stream order, and recorded;
-  /// then the scheduler (and any stage workers) exit. No batch runs
+  /// still executing — is flushed, executed in stream order, and recorded;
+  /// then the scheduler (and any lanes) exit. No batch runs
   /// twice, and nothing is dropped silently: under kDeadline, requests
   /// already past their budget still expire with a typed outcome rather
   /// than being served late. Idempotent; further submits throw. The
@@ -312,7 +294,7 @@ class ServingEngine {
   [[nodiscard]] std::size_t workers() const { return workers_; }
 
  private:
-  /// The batch a lane or pipeline slot serves, from admission to retire.
+  /// The batch a lane serves, from admission to retire.
   /// An occupied slot is exactly one whose write footprint is still
   /// stored, which is what the checked-build hazard audit keys on.
   struct SlotMeta {
@@ -321,35 +303,18 @@ class ServingEngine {
     graph::BatchRange range;
     double dispatch_s = 0.0;
   };
-  /// What travels down the stage channels: the slot, its admission time,
-  /// and the stage wall times so far (fed to the profiler at retire).
-  struct StageToken {
-    std::size_t slot = 0;
-    double dispatch_s = 0.0;
-    std::array<double, core::kNumStages> stage_s{};
-  };
 
   /// The admission core: wait for a free slot, form the next batch, wait
   /// until its footprints are hazard-free, acquire them, and hand the slot
-  /// to an executor — until stopping with an empty queue.
+  /// to a lane — until stopping with an empty queue.
   void scheduler_loop() TGNN_EXCLUDES(mu_);
   /// Mark the hazard-free `batch`'s footprints in the ledger and swap it
   /// into a free slot (returned; one must exist).
   std::size_t acquire(SlotMeta& batch) TGNN_REQUIRES(mu_);
-  /// Whole-batch lane executor: one process_batch call, then retire.
+  /// The executor: one process_batch call on the slot's lane, then retire.
   void run_lane(std::size_t slot, graph::BatchRange range) TGNN_EXCLUDES(mu_);
-  /// Staged executor entry: prefetch, begin_batch, hand to stage 0.
-  void enter_pipeline(std::size_t slot, const SlotMeta& meta)
-      TGNN_EXCLUDES(mu_);
-  /// Push `tok` to stage k through the channel-handoff fault site; a
-  /// permanent fault retires the batch as failed.
-  void hand_off(std::size_t k, const StageToken& tok) TGNN_EXCLUDES(mu_);
-  /// Stage worker k: pops tokens from stage_q_[k], runs Stage k, hands the
-  /// token to stage k+1 (Decode retires the batch instead).
-  void stage_worker(std::size_t k) TGNN_EXCLUDES(mu_);
-  /// The one completion path: finish or abort a staged batch on the
-  /// backend, release the slot's marks, record (ok) or fail the batch's
-  /// requests, free the slot, and signal completion.
+  /// The one completion path: release the slot's marks, record (ok) or
+  /// fail the batch's requests, free the slot, and signal completion.
   void retire(std::size_t slot, bool ok,
               const std::array<double, core::kNumStages>& stage_s,
               double service_s) TGNN_EXCLUDES(mu_);
@@ -388,13 +353,10 @@ class ServingEngine {
   Backend& backend_;
   ConcurrentBackend* concurrent_ = nullptr;  ///< any ConcurrentBackend;
                                              ///< lanes use it when > 1
-  StagedBackend* staged_ = nullptr;  ///< set when opts.pipelined: slots
-                                     ///< run the staged executor
   const ServingOptions opts_;
   std::size_t workers_ = 1;
-  bool track_reads_ = false;  ///< read-footprint admission on (deterministic
-                              ///< with > 1 slot, or a staged backend
-                              ///< without race-free reads)
+  const bool track_reads_;  ///< read-footprint admission on
+                           ///< (deterministic with > 1 lane)
 
   mutable util::Mutex mu_;
   util::CondVar cv_submit_;  ///< signals: new request or stop
@@ -447,14 +409,10 @@ class ServingEngine {
   // write = batch endpoints; full = endpoints + tracked neighbor reads.
   std::vector<std::uint32_t> write_marks_ TGNN_GUARDED_BY(mu_);
   std::vector<std::uint32_t> full_marks_ TGNN_GUARDED_BY(mu_);
-  /// The slot table: one entry per lane, or per pipeline slot when
-  /// pipelined; free_slots_ lists the unoccupied ones.
+  /// The slot table: one entry per lane; free_slots_ lists the
+  /// unoccupied ones.
   std::vector<SlotMeta> slot_meta_ TGNN_GUARDED_BY(mu_);
   std::vector<std::size_t> free_slots_ TGNN_GUARDED_BY(mu_);
-  /// Inter-stage channels: stage_q_[k] feeds stage worker k. The vector
-  /// itself is immutable after construction (each channel has its own
-  /// internal lock), so it carries no guard.
-  std::vector<std::unique_ptr<StageChannel<StageToken>>> stage_q_;
 
   Stopwatch clock_;
   std::vector<double> latencies_ TGNN_GUARDED_BY(mu_);
@@ -464,9 +422,8 @@ class ServingEngine {
   double first_submit_s_ TGNN_GUARDED_BY(mu_) = -1.0;
   double last_done_s_ TGNN_GUARDED_BY(mu_) = 0.0;
 
-  /// Runs scheduler_loop plus its executors: the lanes when workers_ > 1
-  /// (a single lane runs on the scheduler thread), or the four stage
-  /// workers when pipelined.
+  /// Runs scheduler_loop plus the lanes when workers_ > 1 (a single lane
+  /// runs on the scheduler thread).
   ThreadPool pool_;
 };
 

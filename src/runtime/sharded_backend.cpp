@@ -73,33 +73,6 @@ void ShardedCpuBackend::read_footprint(const graph::BatchRange& r,
   lanes_[0]->read_footprint(r, out);
 }
 
-void ShardedCpuBackend::prepare_pipeline(std::size_t slots,
-                                         std::size_t max_batch_edges) {
-  slots_.clear();
-  slots_.resize(slots);
-  for (auto& ctx : slots_) lanes_[0]->reserve_context(ctx, max_batch_edges);
-}
-
-void ShardedCpuBackend::begin_batch(std::size_t slot,
-                                    const graph::BatchRange& r) {
-  lane_of(slot).stage_begin(slots_.at(slot), r);
-}
-
-void ShardedCpuBackend::run_stage(core::Stage s, std::size_t slot) {
-  // Serial within the stage call, as in process_batch_on: pipeline-level
-  // concurrency replaces intra-batch OpenMP.
-  omp_set_num_threads(1);
-  lane_of(slot).stage_run(s, slots_.at(slot));
-}
-
-void ShardedCpuBackend::finish_batch(std::size_t slot) {
-  (void)lane_of(slot).stage_finish(slots_.at(slot));
-}
-
-void ShardedCpuBackend::abort_batch(std::size_t slot) {
-  lane_of(slot).stage_abort(slots_.at(slot));
-}
-
 bool ShardedCpuBackend::set_precision(kernels::Precision p) {
   // Caller guarantees quiescence (no batch in flight on any lane); the
   // lanes share one model whose precision caches are rebuilt once and

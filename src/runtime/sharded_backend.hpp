@@ -14,14 +14,6 @@
 // Each lane pins its OpenMP thread count to 1: lane-level concurrency
 // replaces intra-batch OpenMP, keeping N lanes from oversubscribing the
 // machine N times over.
-//
-// Also a StagedBackend: the lanes compose with pipelining by mapping
-// pipeline slots onto lanes (slot i runs its stages on engine lane
-// i % lanes()), so a pipelined ServingEngine overlaps STAGES of adjacent
-// batches on the same machinery the multi-worker scheduler overlaps WHOLE
-// batches on. The shard locks make cross-batch neighbor-memory reads
-// race-free (race_free_reads() == true), which is what permits relaxed
-// (write-footprint-only) pipelined admission.
 #pragma once
 
 #include <memory>
@@ -32,8 +24,7 @@
 
 namespace tgnn::runtime {
 
-class ShardedCpuBackend final : public ConcurrentBackend,
-                                public StagedBackend {
+class ShardedCpuBackend final : public ConcurrentBackend {
  public:
   /// `lanes` >= 1 execution lanes, state partitioned into `opts.shards`
   /// shards. `model` and `ds` must outlive the backend.
@@ -70,38 +61,17 @@ class ShardedCpuBackend final : public ConcurrentBackend,
   void read_footprint(const graph::BatchRange& r,
                       std::vector<graph::NodeId>& out) const override;
 
-  // ---- StagedBackend --------------------------------------------------
-  void prepare_pipeline(std::size_t slots,
-                        std::size_t max_batch_edges) override;
-  [[nodiscard]] std::size_t pipeline_slots() const override {
-    return slots_.size();
-  }
-  void begin_batch(std::size_t slot, const graph::BatchRange& r) override;
-  void run_stage(core::Stage s, std::size_t slot) override;
-  void finish_batch(std::size_t slot) override;
-  void abort_batch(std::size_t slot) override;
-  [[nodiscard]] bool race_free_reads() const override { return true; }
-  void prefetch_rows(std::span<const graph::NodeId> nodes) override {
-    state_.prefetch_rows(nodes);
-  }
-
   [[nodiscard]] std::size_t num_shards() const {
     return locks_.map().num_shards();
   }
 
  private:
-  /// Engine lane a pipeline slot's stages execute on.
-  [[nodiscard]] core::InferenceEngine& lane_of(std::size_t slot) {
-    return *lanes_[slot % lanes_.size()];
-  }
-
   const core::TgnModel& model_;
   const data::Dataset& ds_;
   graph::ShardLockTable locks_;
   core::RuntimeState state_;
   std::vector<std::unique_ptr<core::InferenceEngine>> lanes_;
   BackendOptions opts_;
-  std::vector<core::StageContext> slots_;
 };
 
 }  // namespace tgnn::runtime

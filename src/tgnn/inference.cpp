@@ -88,11 +88,6 @@ void RuntimeState::unpin_rows(std::span<const graph::NodeId> nodes,
   if (with_mail) mailbox.unpin_rows(nodes);
 }
 
-void RuntimeState::prefetch_rows(std::span<const graph::NodeId> nodes) {
-  memory.prefetch_rows(nodes);
-  mailbox.prefetch_rows(nodes);
-}
-
 graph::VertexStoreStats RuntimeState::store_stats() const {
   graph::VertexStoreStats s = memory.store_stats();
   s += mailbox.store_stats();
@@ -211,8 +206,7 @@ void InferenceEngine::stage_begin(StageContext& ctx, const graph::BatchRange& r,
 
   // Collect unique involved vertices; per-vertex event time = its most
   // recent timestamp within the batch (in-batch dependencies are ignored).
-  // Reads only the immutable edge stream, so a pipelined scheduler may run
-  // this before the batch is admitted past the hazard check.
+  // Reads only the immutable edge stream.
   const auto edges = ds_.graph.edges(r);
   std::vector<double>& t_event = ctx.ws.t_event;
   t_event.clear();
@@ -237,7 +231,7 @@ void InferenceEngine::stage_begin(StageContext& ctx, const graph::BatchRange& r,
   // end of Decode holds raw pointers into the endpoint rows (mem_ptr, the
   // build_raw_mail spans), so their pages must not move until then.
   // Defensive: release leftovers first if a previous batch on this context
-  // was abandoned mid-flight.
+  // was abandoned mid-flight (a stage threw).
   if (!ctx.pinned_nbrs.empty()) {
     state_->unpin_rows(ctx.pinned_nbrs, /*with_mail=*/false);
     ctx.pinned_nbrs.clear();
@@ -253,18 +247,6 @@ void InferenceEngine::stage_begin(StageContext& ctx, const graph::BatchRange& r,
     ctx.pinned_nodes = ctx.res.nodes;
   }
   ctx.parts.sample += sw.seconds();
-}
-
-void InferenceEngine::stage_abort(StageContext& ctx) {
-  if (!ctx.pinned_nbrs.empty()) {
-    state_->unpin_rows(ctx.pinned_nbrs, /*with_mail=*/false);
-    ctx.pinned_nbrs.clear();
-  }
-  if (!ctx.pinned_nodes.empty()) {
-    state_->unpin_rows(ctx.pinned_nodes, /*with_mail=*/true);
-    ctx.pinned_nodes.clear();
-  }
-  ctx.res = BatchResult{};
 }
 
 void InferenceEngine::stage_run(Stage s, StageContext& ctx) {

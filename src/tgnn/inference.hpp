@@ -13,13 +13,12 @@
 //                    table extension); pair scoring rides on the produced
 //                    embeddings (evaluate_ap / the serving decoder)
 //
-// Each stage operates on a per-batch StageContext, so a caller holding two
-// contexts can run stage k of batch i concurrently with stage k-1 of batch
-// i+1 — the cross-batch overlap the runtime's pipelined ServingEngine
-// schedules (with a vertex-footprint hazard check; see DESIGN.md "The
-// staged serving pipeline"). process_batch is the serial driver: the four
-// stages back to back on the engine's own context, bit-identical to the
-// pre-staged monolithic loop.
+// Each stage operates on a per-batch StageContext, so the engine itself
+// holds no per-batch state: engines sharing one RuntimeState (the sharded
+// lanes) run disjoint-footprint batches concurrently, and the staged
+// replay API (runtime::StagedBackend) times each stage on its own.
+// process_batch is the serial driver: the four stages back to back on the
+// engine's own context, bit-identical to the pre-staged monolithic loop.
 //
 // The stages are individually timed (PartTimes) to reproduce the Table I
 // breakdown. Negative-sample vertices can be embedded alongside a batch
@@ -92,9 +91,6 @@ struct RuntimeState {
   /// keep the engine's raw row pointers valid across stages.
   void pin_rows(std::span<const graph::NodeId> nodes, bool with_mail);
   void unpin_rows(std::span<const graph::NodeId> nodes, bool with_mail);
-  /// Fault `nodes`' memory pages in without pinning (the pipelined
-  /// scheduler's one-stage-early prefetch hook).
-  void prefetch_rows(std::span<const graph::NodeId> nodes);
   /// Combined memory + mailbox store counters.
   [[nodiscard]] graph::VertexStoreStats store_stats() const;
   /// Flat-RAM footprint of the two tables at these dims — what a byte
@@ -140,9 +136,9 @@ struct PartTimes {
 /// Reusable scratch for one batch's trip through the stages. All per-batch
 /// intermediates live here, sized on first use (or up-front via reserve())
 /// and recycled, so steady-state batches do no heap allocation beyond the
-/// returned BatchResult itself. One workspace per in-flight batch — the
-/// serial engine owns one; the pipelined serving path owns one per
-/// StageContext slot, which is what makes cross-batch stage overlap safe.
+/// returned BatchResult itself. One workspace per in-flight batch — each
+/// engine owns one in its own context, and a staged-replay caller one per
+/// StageContext slot.
 struct BatchWorkspace {
   /// Grow-don't-shrink sizing shared by every per-element buffer here: the
   /// one high-water-mark growth rule (geometric growth via std::vector,
@@ -277,12 +273,6 @@ class InferenceEngine {
   void stage_run(Stage s, StageContext& ctx);
   /// Release the batch's functional result; `ctx` is reusable afterwards.
   BatchResult stage_finish(StageContext& ctx) { return std::move(ctx.res); }
-  /// Abandon a batch mid-pipeline (a faulted stage): release its pin
-  /// window and clear the context so it can be rebound. Safe before
-  /// Decode has run — stages 0..2 write only the context, so an aborted
-  /// batch leaves per-vertex state exactly as it was (no partial commit,
-  /// no chronology break).
-  void stage_abort(StageContext& ctx);
 
   /// Vertices a batch will READ beyond its own endpoints: the sampled
   /// temporal neighbors of every endpoint, from current state (sorted,

@@ -22,7 +22,6 @@ const char* fault_site_name(FaultSite site) {
     case FaultSite::kSpillRead: return "spill-read";
     case FaultSite::kSpillWrite: return "spill-write";
     case FaultSite::kSpillOpen: return "spill-open";
-    case FaultSite::kChannelHandoff: return "channel-handoff";
   }
   return "unknown";
 }

@@ -30,9 +30,8 @@ enum class FaultSite : std::size_t {
   kSpillRead = 1,      ///< PagedFile::read_page
   kSpillWrite = 2,     ///< PagedFile::write_page
   kSpillOpen = 3,      ///< PagedFile::ensure_open (mkstemp/ftruncate/mmap)
-  kChannelHandoff = 4  ///< stage-channel push between pipeline stages
 };
-inline constexpr std::size_t kNumFaultSites = 5;
+inline constexpr std::size_t kNumFaultSites = 4;
 
 [[nodiscard]] const char* fault_site_name(FaultSite site);
 

@@ -1,10 +1,10 @@
 // Clang thread-safety annotation macros — the compile-time half of the
 // concurrency contract (DESIGN.md "Correctness tooling").
 //
-// The runtime has five independently-locked concurrent layers (shard
-// locks, the pipelined stage channels, the serving queue, the thread
-// pool, and the out-of-core VertexStore); TSan can only catch a lock
-// violation a test happens to interleave, but clang's -Wthread-safety
+// The runtime has four independently-locked concurrent layers (shard
+// locks, the serving queue, the thread pool, and the out-of-core
+// VertexStore); TSan can only catch a lock violation a test happens to
+// interleave, but clang's -Wthread-safety
 // analysis proves lock discipline at compile time the way the paper's
 // statically-scheduled dataflow proves hazard-freedom in hardware. The
 // macros expand to clang capability attributes under clang and to nothing

@@ -80,11 +80,10 @@ TEST(PagedFile, RejectsOutOfRangeAndUnwrittenReads) {
 TEST(VertexStore, ZeroBudgetIsAllResident) {
   VertexStore s(100, 64);
   EXPECT_FALSE(s.out_of_core());
-  // Pins/prefetch are free no-ops; stats stay zero.
+  // Pins are free no-ops; stats stay zero.
   std::vector<NodeId> rows = {1, 2, 3};
   s.pin_rows(rows);
   s.unpin_rows(rows);
-  s.prefetch_rows(rows);
   EXPECT_EQ(s.stats().hits + s.stats().misses, 0u);
   EXPECT_DOUBLE_EQ(s.stats().hit_rate(), 1.0);
 }
@@ -148,22 +147,6 @@ TEST(VertexStore, PinCountsHitsAndMisses) {
   st = s.stats();
   EXPECT_EQ(st.hits, 5u);  // still resident
   s.unpin_rows(rows);
-}
-
-TEST(VertexStore, PrefetchMakesLaterPinsHit) {
-  VertexStore s(256, 64, small_opts(4));
-  std::vector<NodeId> rows = {40, 48, 56};  // three distinct pages
-  s.prefetch_rows(rows);
-  auto st = s.stats();
-  EXPECT_EQ(st.prefetch_loads, 3u);
-  EXPECT_EQ(st.misses, 0u);  // prefetch does not count as demand traffic
-  s.pin_rows(rows);
-  st = s.stats();
-  EXPECT_EQ(st.hits, 3u);
-  EXPECT_EQ(st.misses, 0u);
-  s.unpin_rows(rows);
-  s.prefetch_rows(rows);
-  EXPECT_EQ(s.stats().prefetch_hits, 3u);
 }
 
 TEST(VertexStore, RedirtyOfQueuedPageCountsInvalidation) {

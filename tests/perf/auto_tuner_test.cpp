@@ -45,35 +45,21 @@ TEST(AutoTuner, CandidatesGatedByBackendContracts) {
   AutoTunerOptions topts;
   topts.batch_grid = {32, 128};
   topts.worker_grid = {2, 4, 64};  // 64 exceeds any lane count: skipped
-  topts.depth_grid = {2, 4};
 
-  // "cpu" is a StagedBackend but not a ConcurrentBackend: serial and
-  // pipelined candidates only.
+  // "cpu" is not a ConcurrentBackend: serial candidates only.
   auto cpu = runtime::make_backend("cpu", model, ds);
   AutoTuner cpu_tuner(*cpu, topts);
-  std::size_t serial = 0, workers = 0, pipelined = 0;
-  for (const auto& c : cpu_tuner.candidates()) {
-    if (c.pipelined)
-      ++pipelined;
-    else if (c.workers > 1)
-      ++workers;
-    else
-      ++serial;
-  }
-  EXPECT_EQ(serial, 2u);
-  EXPECT_EQ(workers, 0u);
-  EXPECT_EQ(pipelined, 4u);  // 2 batches x 2 depths
+  for (const auto& c : cpu_tuner.candidates()) EXPECT_EQ(c.workers, 1u);
+  EXPECT_EQ(cpu_tuner.candidates().size(), 2u);
 
-  // "sharded-cpu" is both: worker candidates appear, capped at lanes().
+  // "sharded-cpu" is: worker candidates appear, capped at lanes().
   runtime::BackendOptions bopts;
   bopts.threads = 4;
   auto sharded = runtime::make_backend("sharded-cpu", model, ds, bopts);
   AutoTuner sh_tuner(*sharded, topts);
-  serial = workers = pipelined = 0;
+  std::size_t serial = 0, workers = 0;
   for (const auto& c : sh_tuner.candidates()) {
-    if (c.pipelined)
-      ++pipelined;
-    else if (c.workers > 1) {
+    if (c.workers > 1) {
       EXPECT_LE(c.workers, 4u);
       ++workers;
     } else {
@@ -82,15 +68,11 @@ TEST(AutoTuner, CandidatesGatedByBackendContracts) {
   }
   EXPECT_EQ(serial, 2u);
   EXPECT_EQ(workers, 4u);  // 2 batches x {2, 4} workers; 64 skipped
-  EXPECT_EQ(pipelined, 4u);
 
-  // "gpu-sim" is neither: serial candidates only.
+  // "gpu-sim" is not either: serial candidates only.
   auto gpu = runtime::make_backend("gpu-sim", model, ds);
   AutoTuner gpu_tuner(*gpu, topts);
-  for (const auto& c : gpu_tuner.candidates()) {
-    EXPECT_FALSE(c.pipelined);
-    EXPECT_EQ(c.workers, 1u);
-  }
+  for (const auto& c : gpu_tuner.candidates()) EXPECT_EQ(c.workers, 1u);
   EXPECT_EQ(gpu_tuner.candidates().size(), 2u);
 }
 
@@ -104,29 +86,23 @@ TEST(AutoTuner, OptionsRealizeCandidate) {
 
   SwCandidate c;
   c.max_batch = 2048;
-  c.pipelined = true;
-  c.pipeline_depth = 3;
   const auto o = tuner.options_for(c);
   EXPECT_EQ(o.max_batch, 2048u);
-  EXPECT_TRUE(o.pipelined);
-  EXPECT_EQ(o.pipeline_depth, 3u);
-  EXPECT_EQ(o.workers, 1u);  // pipelined candidates never set lanes
+  EXPECT_EQ(o.workers, 1u);
   EXPECT_EQ(o.max_wait_s, 5e-4);
   EXPECT_GE(o.queue_capacity, 4 * o.max_batch);  // cap never starves a batch
 
-  c.pipelined = false;
   c.workers = 4;
   EXPECT_EQ(tuner.options_for(c).workers, 4u);
 }
 
-/// Serial batches {16, 32, 64} plus pipelined depths {2, 4} on "cpu":
-/// 9 candidates, halved 9 -> 4 -> 2 -> 1 over three rounds.
+/// Nine serial batch sizes on "cpu": 9 candidates, halved 9 -> 4 -> 2 -> 1
+/// over three rounds.
 AutoTunerOptions nine_candidates(std::size_t budget) {
   AutoTunerOptions topts;
   topts.budget_events = budget;
-  topts.batch_grid = {16, 32, 64};
+  topts.batch_grid = {8, 12, 16, 24, 32, 40, 48, 56, 64};
   topts.worker_grid = {};
-  topts.depth_grid = {2, 4};
   return topts;
 }
 
@@ -149,8 +125,7 @@ TEST(AutoTuner, SearchReturnsMeasuredBestAndAccountsForTheStream) {
   EXPECT_GE(r.ranked[0].measured_rps, r.ranked[1].measured_rps);
   EXPECT_EQ(r.chosen.describe(), r.ranked[0].candidate.describe());
   EXPECT_EQ(r.options.max_batch, r.chosen.max_batch);
-  EXPECT_EQ(r.options.pipelined, r.chosen.pipelined);
-  EXPECT_EQ(r.options.pipeline_depth, r.chosen.pipeline_depth);
+  EXPECT_EQ(r.options.workers, r.chosen.workers);
   EXPECT_FALSE(r.describe().empty());
 }
 

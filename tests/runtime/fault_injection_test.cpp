@@ -1,9 +1,8 @@
 // Fault-injection scenarios over the serving engine (ISSUE 9 tentpole c):
 // transient faults are absorbed by bounded retry, permanent faults end in
 // a typed kFailed outcome with the stream continuing, and no scenario —
-// across the stage-execution and channel-handoff sites, in serial,
-// pipelined, and multi-worker modes — ever deadlocks or leaves per-vertex
-// chronology broken.
+// at the stage-execution site, on one lane or several — ever deadlocks or
+// leaves per-vertex chronology broken.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -162,11 +161,6 @@ void expect_typed_outcomes_under_faults(const ServingOptions& base,
   stage.probability = 0.05;
   stage.transient = true;
   g.fi.arm(util::FaultSite::kStageExec, stage);
-  util::FaultPlan handoff;
-  handoff.probability = 0.03;
-  handoff.transient = false;  // permanent mid-pipeline drops
-  handoff.max_faults = 2;
-  g.fi.arm(util::FaultSite::kChannelHandoff, handoff);
 
   ServingOptions opts = base;
   opts.fault_retries = 8;  // transients at p=0.05 virtually never exhaust
@@ -203,36 +197,27 @@ TEST(FaultInjection, SeededMatrixSerial) {
     expect_typed_outcomes_under_faults(fast_opts(), "cpu", seed);
 }
 
-TEST(FaultInjection, SeededMatrixPipelined) {
-  ServingOptions opts = fast_opts();
-  opts.pipelined = true;
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull})
-    expect_typed_outcomes_under_faults(opts, "cpu", seed);
-}
-
-TEST(FaultInjection, SeededMatrixPipelinedDeterministic) {
-  ServingOptions opts = fast_opts();
-  opts.pipelined = true;
-  opts.deterministic = true;
-  expect_typed_outcomes_under_faults(opts, "cpu", 7);
-}
-
 TEST(FaultInjection, SeededMatrixMultiWorker) {
   ServingOptions opts = fast_opts();
   opts.workers = 2;
   BackendOptions bopts;
   bopts.threads = 2;
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull})
-    expect_typed_outcomes_under_faults(opts, "sharded-cpu", seed, bopts);
+  for (const bool deterministic : {false, true}) {
+    opts.deterministic = deterministic;
+    for (const std::uint64_t seed : {1ull, 7ull, 42ull})
+      expect_typed_outcomes_under_faults(opts, "sharded-cpu", seed, bopts);
+  }
 }
 
-TEST(FaultInjection, PipelinedPermanentStageFaultAbortsCleanly) {
-  // One permanent fault lands on a stage mid-pipeline; the slot must be
-  // aborted (pins released, ledger unwound) and every later batch must
-  // still flow through all four stages.
+TEST(FaultInjection, MultiWorkerPermanentStageFaultFailsCleanly) {
+  // One permanent fault lands on a batch while other lanes are busy; its
+  // lane must retire it as failed (ledger unwound, slot freed) and every
+  // later batch must still be admitted and served.
   const auto ds = tiny_ds();
   const auto model = tiny_model(ds);
-  auto backend = make_backend("cpu", model, ds);
+  BackendOptions bopts;
+  bopts.threads = 2;
+  auto backend = make_backend("sharded-cpu", model, ds, bopts);
 
   InjectorGuard g(5);
   util::FaultPlan plan;
@@ -242,7 +227,7 @@ TEST(FaultInjection, PipelinedPermanentStageFaultAbortsCleanly) {
   g.fi.arm(util::FaultSite::kStageExec, plan);
 
   ServingOptions opts = fast_opts();
-  opts.pipelined = true;
+  opts.workers = 2;
   ServingEngine server(*backend, opts);
   const std::size_t kN = 200;
   for (std::size_t i = 0; i < kN; ++i) server.submit(i);

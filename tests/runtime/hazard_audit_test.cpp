@@ -1,7 +1,7 @@
 // The serving scheduler's hazard-ledger audit: the admission invariant —
 // no two in-flight batches with intersecting write footprints — restated
 // over raw footprints and proven falsifiable. The engine-level integration
-// (audit after every admission, in both executors) only runs under
+// (audit after every admission, on one lane or several) only runs under
 // -DTGNN_CHECKED=ON; the primitive itself is always available, so its
 // contract is pinned in every build.
 #include <gtest/gtest.h>
@@ -39,12 +39,12 @@ TEST(HazardAuditDeathTest, IntersectingFootprintsAbort) {
 }
 
 TEST(HazardAudit, CheckedServingRunsTheAuditCleanlyInBothExecutors) {
-  // End-to-end: drive both executors (which, in checked builds, audit the
-  // in-flight footprints at every admission) over a real stream — the
-  // staged pipeline, and two whole-batch lanes under both conflict
-  // policies. Passing means every admission the engine actually made kept
-  // the footprints disjoint — in unchecked builds this degrades to a plain
-  // serving smoke test.
+  // End-to-end: drive the executor both ways it runs (which, in checked
+  // builds, audits the in-flight footprints at every admission) over a
+  // real stream — the inline single lane, and two pool lanes under both
+  // conflict policies. Passing means every admission the engine actually
+  // made kept the footprints disjoint — in unchecked builds this degrades
+  // to a plain serving smoke test.
   data::SyntheticConfig dcfg;
   dcfg.num_users = 40;
   dcfg.num_items = 25;
@@ -63,18 +63,16 @@ TEST(HazardAudit, CheckedServingRunsTheAuditCleanlyInBothExecutors) {
 
   struct Input {
     const char* key;
-    bool pipelined;
     std::size_t workers;
     bool deterministic;
   };
-  for (const Input& in : {Input{"cpu", true, 1, false},
-                          Input{"sharded-cpu", false, 2, false},
-                          Input{"sharded-cpu", false, 2, true}}) {
+  for (const Input& in : {Input{"cpu", 1, false},
+                          Input{"sharded-cpu", 2, false},
+                          Input{"sharded-cpu", 2, true}}) {
     BackendOptions bopts;
     bopts.threads = 2;
     auto backend = make_backend(in.key, model, ds, bopts);
     ServingOptions opts;
-    opts.pipelined = in.pipelined;
     opts.workers = in.workers;
     opts.deterministic = in.deterministic;
     opts.max_batch = 16;

@@ -102,25 +102,35 @@ TEST(OutOfCore, MemKeySuffixMatchesOptionsBudget) {
   EXPECT_GT(via_key->store_stats().misses, 0u);
 }
 
-TEST(OutOfCore, DeterministicPipelinedBudgetedBitIdenticalToSerial) {
-  // The hardest composition: budgeted store + staged pipeline with
-  // cross-batch overlap and prefetch. Deterministic pipelining over the
-  // paged store must leave exactly the state serial all-resident serving
-  // leaves.
-  const auto ds = oo_ds();
+TEST(OutOfCore, DeterministicWorkersBudgetedBitIdenticalToSerial) {
+  // The hardest composition: budgeted store + concurrent lanes. Three
+  // deterministic lanes over the paged store must leave exactly the state
+  // serial all-resident serving leaves. The graph is sparse (uniform
+  // users, one community) so consecutive micro-batches rarely share a
+  // vertex and the lanes actually overlap.
+  data::SyntheticConfig dcfg;
+  dcfg.num_users = 4000;
+  dcfg.num_items = 4000;
+  dcfg.num_edges = 1200;
+  dcfg.edge_dim = 6;
+  dcfg.user_zipf_s = 0.0;
+  dcfg.num_communities = 1;
+  dcfg.seed = 77;
+  const auto ds = data::make_synthetic(dcfg);
   const auto model = oo_model(ds);
   BackendOptions opts;
+  opts.threads = 3;
+  opts.shards = 8;
   opts.memory_budget = core::RuntimeState::state_bytes(ds.graph.num_nodes(),
                                                        model.config()) /
                        10;
-  auto budgeted = make_backend("cpu", model, ds, opts);
+  auto budgeted = make_backend("sharded-cpu", model, ds, opts);
   auto serial = make_backend("cpu", model, ds);
 
   ServingOptions sopts;
-  sopts.max_batch = 60;
+  sopts.max_batch = 20;
   sopts.max_wait_s = 10.0;
-  sopts.pipelined = true;
-  sopts.pipeline_depth = 4;
+  sopts.workers = 3;
   sopts.deterministic = true;
   ServingStats stats;
   {
@@ -129,7 +139,7 @@ TEST(OutOfCore, DeterministicPipelinedBudgetedBitIdenticalToSerial) {
     server.drain();
     stats = server.stats();
   }
-  run_stream(*serial, {0, 900}, 60);
+  run_stream(*serial, {0, 900}, 20);
 
   const graph::BatchRange next{900, 960};
   const auto a = budgeted->process_batch(next);
@@ -138,9 +148,8 @@ TEST(OutOfCore, DeterministicPipelinedBudgetedBitIdenticalToSerial) {
   EXPECT_EQ(
       ops::max_abs_diff(a.functional.embeddings, b.functional.embeddings),
       0.0f);
-  // Prefetch hooks fired: the scheduler announces footprints one stage
-  // early, so some faults are absorbed before the batch runs.
-  EXPECT_GT(stats.store.prefetch_loads, 0u);
+  EXPECT_GT(stats.store.misses, 0u);           // the budget actually paged
+  EXPECT_GT(stats.peak_parallel_batches, 1u);  // ...under lane overlap
 }
 
 TEST(OutOfCore, ServingStatsExposeStoreCounters) {

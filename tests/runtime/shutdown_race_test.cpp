@@ -53,13 +53,11 @@ struct ModeCase {
   const char* name;
   const char* key;
   std::size_t workers;
-  bool pipelined;
 };
 
 const ModeCase kModes[] = {
-    {"serial", "cpu", 1, false},
-    {"multi-worker", "sharded-cpu", 2, false},
-    {"pipelined", "cpu", 1, true},
+    {"serial", "cpu", 1},
+    {"multi-worker", "sharded-cpu", 2},
 };
 
 ServingOptions mode_opts(const ModeCase& m) {
@@ -68,7 +66,6 @@ ServingOptions mode_opts(const ModeCase& m) {
   opts.max_wait_s = 1e-4;
   opts.queue_capacity = 16;
   opts.workers = m.workers;
-  opts.pipelined = m.pipelined;
   return opts;
 }
 

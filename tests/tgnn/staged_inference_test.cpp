@@ -3,9 +3,8 @@
 // process_batch (which is itself the four stages on the engine's own
 // context), state evolves identically, contexts are reusable, and
 // process_batch / staged driving may interleave between batches on one
-// engine. This is the engine-level half of what the pipelined
-// ServingEngine builds on (tests/runtime/pipelined_serving_test.cpp is the
-// serving-level half).
+// engine. This is the contract the staged replay API
+// (runtime::StagedBackend) relies on to time each stage of a served batch.
 #include <gtest/gtest.h>
 
 #include <algorithm>

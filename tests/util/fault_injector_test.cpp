@@ -92,18 +92,18 @@ TEST(FaultInjector, MaxFaultsBoundsInjection) {
   FaultInjector fi(5);
   FaultPlan plan;  // probability 1
   plan.max_faults = 3;
-  fi.arm(FaultSite::kChannelHandoff, plan);
+  fi.arm(FaultSite::kSpillOpen, plan);
   std::size_t thrown = 0;
   for (int i = 0; i < 10; ++i) {
     try {
-      fi.check(FaultSite::kChannelHandoff);
+      fi.check(FaultSite::kSpillOpen);
     } catch (const InjectedFault&) {
       ++thrown;
     }
   }
   EXPECT_EQ(thrown, 3u);
-  EXPECT_EQ(fi.injected(FaultSite::kChannelHandoff), 3u);
-  EXPECT_EQ(fi.checks(FaultSite::kChannelHandoff), 10u);
+  EXPECT_EQ(fi.injected(FaultSite::kSpillOpen), 3u);
+  EXPECT_EQ(fi.checks(FaultSite::kSpillOpen), 10u);
 }
 
 TEST(FaultInjector, SkipFirstPlacesFaultMidStream) {
